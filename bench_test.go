@@ -508,7 +508,7 @@ func Benchmark9PRelayThroughGateway1kClients(b *testing.B) {
 	}
 	srv := exportfs.NewServer(ns.New("gw", rfs.Root()), exportfs.Config{})
 	serve := func() ninep.MsgConn {
-		cend, send := ninep.NewPipe()
+		cend, send := ninep.NewPipe(nil)
 		go srv.ServeConn(send)
 		return cend
 	}

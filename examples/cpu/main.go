@@ -79,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	go exportfs.Serve(ninep.NewDelimConn(conn), musca.NS, "/")
+	go exportfs.Serve(ninep.NewDelimConn(conn), musca.NS, "/", nil)
 
 	if msg := <-done; msg != "ok" {
 		log.Fatal(msg)

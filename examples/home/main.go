@@ -51,7 +51,7 @@ func main() {
 
 	// The phone line: 56k at home, because 9600 baud makes the demo
 	// contemplative (the pacing is real — try it).
-	line := uart.NewLine()
+	line := uart.NewLine(nil)
 	defer line.Close()
 	homeEnd, cpuEnd := line.Ends()
 	homeEnd.SetBaud(57600)
@@ -62,7 +62,7 @@ func main() {
 	if err := helix.AttachUART(1, cpuEnd); err != nil {
 		log.Fatal(err)
 	}
-	go exportfs.Serve(ninep.NewStreamConn(endRWC{cpuEnd}), helix.NS, "/")
+	go exportfs.Serve(ninep.NewStreamConn(endRWC{cpuEnd}), helix.NS, "/", nil)
 
 	// The home machine: not in the world at all, just a name space
 	// and the serial port.

@@ -58,7 +58,7 @@ func TestCpuSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	go exportfs.Serve(ninep.NewDelimConn(conn), musca.NS, "/")
+	go exportfs.Serve(ninep.NewDelimConn(conn), musca.NS, "/", nil)
 
 	select {
 	case msg := <-done:

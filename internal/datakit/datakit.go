@@ -321,7 +321,7 @@ func (c *Conn) Connect(addr string) error {
 		wire.Close()
 		return xport.ErrConnected
 	}
-	c.urp = urp.NewClock(duplexWire{wire, &c.proto.FCSErrs}, &c.proto.Stats, wire.Clock())
+	c.urp = urp.New(duplexWire{wire, &c.proto.FCSErrs}, &c.proto.Stats, wire.Clock())
 	c.wire = wire
 	c.local = c.proto.host.name
 	c.remote = addr
@@ -375,7 +375,7 @@ func (c *Conn) Listen() (xport.Conn, error) {
 	}
 	nc := &Conn{
 		proto:   c.proto,
-		urp:     urp.NewClock(duplexWire{call.wire, &c.proto.FCSErrs}, &c.proto.Stats, call.wire.Clock()),
+		urp:     urp.New(duplexWire{call.wire, &c.proto.FCSErrs}, &c.proto.Stats, call.wire.Clock()),
 		wire:    call.wire,
 		local:   c.proto.host.name + "!" + call.service,
 		remote:  call.remote,

@@ -122,16 +122,11 @@ func (s *Server) Stats() string {
 // Serve exports the subtree of nsp rooted at root over conn, blocking
 // until the connection fails. The initial protocol that "establishes
 // the root of the file tree being exported" is the 9P attach itself:
-// the attach name is joined beneath root.
-func Serve(conn ninep.MsgConn, nsp *ns.Namespace, root string) error {
-	return ServeClock(conn, nsp, root, nil)
-}
-
-// ServeClock is Serve with an explicit clock driving the server's
+// the attach name is joined beneath root. ck drives the server's
 // per-request goroutines; nil means the real clock. It is the
 // single-connection form: a throwaway Server per transport, the
 // pre-gateway shape callers like torture keep using.
-func ServeClock(conn ninep.MsgConn, nsp *ns.Namespace, root string, ck vclock.Clock) error {
+func Serve(conn ninep.MsgConn, nsp *ns.Namespace, root string, ck vclock.Clock) error {
 	return NewServer(nsp, Config{Root: root, Clock: ck}).ServeConn(conn)
 }
 

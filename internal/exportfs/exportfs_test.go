@@ -14,8 +14,8 @@ import (
 // and serves root over a pipe; returns the local client end.
 func exported(t *testing.T, remote *ns.Namespace, root string) ninep.MsgConn {
 	t.Helper()
-	a, b := ninep.NewPipe()
-	go Serve(b, remote, root)
+	a, b := ninep.NewPipe(nil)
+	go Serve(b, remote, root, nil)
 	t.Cleanup(func() { a.Close() })
 	return a
 }
@@ -166,8 +166,8 @@ func TestNestedExport(t *testing.T) {
 	nsB := ns.New("b", bfs.Root())
 
 	nsA := ns.New("a", ramfs.New("a").Root())
-	pAB, pBA := ninep.NewPipe()
-	go Serve(pBA, nsB, "/")
+	pAB, pBA := ninep.NewPipe(nil)
+	go Serve(pBA, nsB, "/", nil)
 	clAB, err := Import(nsA, pAB, "", "/b", ns.MREPL)
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +175,8 @@ func TestNestedExport(t *testing.T) {
 	defer clAB.Close()
 
 	nsC := ns.New("c", ramfs.New("c").Root())
-	pCA, pAC := ninep.NewPipe()
-	go Serve(pAC, nsA, "/")
+	pCA, pAC := ninep.NewPipe(nil)
+	go Serve(pAC, nsA, "/", nil)
 	clCA, err := Import(nsC, pCA, "", "/a", ns.MREPL)
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +215,8 @@ func TestMountNodeDirectly(t *testing.T) {
 	rfs := ramfs.New("srv")
 	rfs.WriteFile("f", []byte("1"), 0664)
 	remote := ns.New("srv", rfs.Root())
-	a, b := ninep.NewPipe()
-	go Serve(b, remote, "/")
+	a, b := ninep.NewPipe(nil)
+	go Serve(b, remote, "/", nil)
 	root, cl, err := mnt.Mount(a, "me", "")
 	if err != nil {
 		t.Fatal(err)

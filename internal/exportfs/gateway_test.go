@@ -17,7 +17,7 @@ import (
 // server and returns the client end.
 func servedConn(t *testing.T, srv *Server) ninep.MsgConn {
 	t.Helper()
-	a, b := ninep.NewPipe()
+	a, b := ninep.NewPipe(nil)
 	go srv.ServeConn(b)
 	t.Cleanup(func() { a.Close() })
 	return a

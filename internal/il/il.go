@@ -34,14 +34,13 @@ package il
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
 	"repro/internal/ip"
 	"repro/internal/obs"
+	"repro/internal/rexmit"
 	"repro/internal/streams"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
@@ -68,17 +67,18 @@ const specEOM = 0x01
 // Window is the small outstanding-message window.
 const Window = 20
 
-// Connection states.
+// Connection states, numbered after the phases the transport core
+// shares.
 const (
-	Closed = iota
-	Syncer
+	Closed    = rexmit.Closed
+	Listening = rexmit.Listening
+	Syncer    = iota
 	Syncee
 	Established
-	Listening
 	Closing
 )
 
-var stateNames = []string{"Closed", "Syncer", "Syncee", "Established", "Listening", "Closing"}
+var stateNames = []string{"Closed", "Listening", "Syncer", "Syncee", "Established", "Closing"}
 
 // Timer constants.
 const (
@@ -129,18 +129,8 @@ type Proto struct {
 	stack *ip.Stack
 	ck    vclock.Clock
 	cfg   Config
-
-	mu        sync.Mutex
-	conns     map[connKey]*Conn
-	listeners map[uint16]*Conn
-	nextEphem uint16
-	rng       *rand.Rand
-
-	// txq feeds the transmitter kernel process: one long-lived
-	// goroutine with a warm stack walks packets down the IP stack,
-	// instead of a fresh goroutine per segment growing its stack
-	// through the ether path every time.
-	txq *vclock.Mailbox[txPkt]
+	tab   *rexmit.Table[*Conn]
+	tx    *rexmit.Transmitter
 
 	// Counters for the ablation experiments and status files.
 	Retransmits  atomic.Int64
@@ -158,33 +148,17 @@ type Proto struct {
 	stats   *obs.Group
 }
 
-type connKey struct {
-	raddr ip.Addr
-	rport uint16
-	lport uint16
-}
-
-// txPkt is one packet queued for the transmitter kernel process.
-type txPkt struct {
-	src, dst ip.Addr
-	pkt      *block.Block
-}
-
 var _ xport.Proto = (*Proto)(nil)
 
 // New creates the IL device on a stack and registers its demux.
 func New(stack *ip.Stack, cfg Config) *Proto {
-	ck := stack.Clock()
 	p := &Proto{
-		stack:     stack,
-		ck:        ck,
-		cfg:       cfg,
-		conns:     make(map[connKey]*Conn),
-		listeners: make(map[uint16]*Conn),
-		nextEphem: 2000,
-		rng:       rand.New(rand.NewSource(ck.Now().UnixNano())),
-		txq:       vclock.NewMailbox[txPkt](ck, 256),
+		stack: stack,
+		ck:    stack.Clock(),
+		cfg:   cfg,
 	}
+	p.tx = rexmit.NewTransmitter(stack, ip.ProtoIL, &p.MsgsSent)
+	p.tab = rexmit.NewTable(p.tx, 2000, func() *Conn { return &Conn{proto: p} })
 	p.stats = new(obs.Group).
 		AddAtomic("msgs-sent", &p.MsgsSent).
 		AddAtomic("msgs-rcvd", &p.MsgsRcvd).
@@ -194,9 +168,9 @@ func New(stack *ip.Stack, cfg Config) *Proto {
 		AddAtomic("dups-rcvd", &p.DupsReceived).
 		AddAtomic("out-of-window", &p.OutOfWindow).
 		AddAtomic("checksum-errs", &p.ChecksumErrs).
+		AddAtomic("tx-drops", &p.tx.Drops).
 		AddHist("rtt", &p.RTTHist)
 	stack.Register(ip.ProtoIL, p.recv)
-	ck.Go(p.transmitter)
 	return p
 }
 
@@ -209,94 +183,14 @@ func (p *Proto) StatsGroup() *obs.Group { return p.stats }
 // virtual) time domain as the protocol engine.
 func (p *Proto) Clock() vclock.Clock { return p.ck }
 
-// transmitter is the output kernel process: it owns every queued
-// packet and walks it down the stack. It exits at Close, freeing
-// whatever is still queued.
-func (p *Proto) transmitter() {
-	for {
-		t, ok := p.txq.Recv()
-		if !ok {
-			return
-		}
-		p.MsgsSent.Add(1)
-		p.stack.SendBlock(ip.ProtoIL, t.src, t.dst, t.pkt)
-	}
-}
-
-// enqueue hands a packet to the transmitter without blocking (it is
-// called under connection locks). A full ring drops the packet, which
-// the retransmission machinery treats as wire loss.
-func (p *Proto) enqueue(src, dst ip.Addr, pkt *block.Block) {
-	if !p.txq.TrySend(txPkt{src: src, dst: dst, pkt: pkt}) {
-		pkt.Free()
-	}
-}
-
 // Name implements xport.Proto.
 func (p *Proto) Name() string { return "il" }
 
-// Close tears the whole engine down at machine shutdown: every
-// conversation dies immediately — no close exchange, the machine is
-// going away — and every listener stops accepting, so per-connection
-// timers and blocked readers, writers, and accepts all wake and exit.
-func (p *Proto) Close() {
-	// Packets still queued for the transmitter go back to the pool.
-	for _, t := range p.txq.CloseDrain() {
-		t.pkt.Free()
-	}
-	p.mu.Lock()
-	all := make([]*Conn, 0, len(p.conns)+len(p.listeners))
-	for _, c := range p.conns {
-		all = append(all, c)
-	}
-	for _, l := range p.listeners {
-		all = append(all, l)
-	}
-	p.conns = make(map[connKey]*Conn)
-	p.listeners = make(map[uint16]*Conn)
-	p.mu.Unlock()
-	for _, c := range all {
-		c.mu.Lock()
-		if c.state == Listening {
-			c.accepted.Close()
-		}
-		c.diedLocked(vfs.ErrHungup)
-		c.mu.Unlock()
-	}
-}
+// Close tears the whole engine down at machine shutdown.
+func (p *Proto) Close() { p.tab.Close() }
 
 // NewConn implements xport.Proto.
-func (p *Proto) NewConn() (xport.Conn, error) { return p.newConn(), nil }
-
-func (p *Proto) newConn() *Conn {
-	c := &Conn{proto: p, state: Closed}
-	c.cond.Init(p.ck, &c.mu)
-	c.rstream = streams.NewClock(1<<22, p.ck, nil)
-	c.accepted = vclock.NewMailbox[*Conn](p.ck, 8)
-	return c
-}
-
-func (p *Proto) allocEphemeral() uint16 {
-	for {
-		p.nextEphem++
-		if p.nextEphem < 2000 {
-			p.nextEphem = 2000
-		}
-		if _, taken := p.listeners[p.nextEphem]; taken {
-			continue
-		}
-		free := true
-		for k := range p.conns {
-			if k.lport == p.nextEphem {
-				free = false
-				break
-			}
-		}
-		if free {
-			return p.nextEphem
-		}
-	}
-}
+func (p *Proto) NewConn() (xport.Conn, error) { return p.tab.New(), nil }
 
 // header is the unmarshaled IL header.
 type header struct {
@@ -337,15 +231,12 @@ func fillHeader(p []byte, h header) {
 	p[1] = byte(ck)
 }
 
-func marshal(h header, data []byte) []byte {
-	p := make([]byte, HdrLen+len(data))
-	copy(p[HdrLen:], data)
-	fillHeader(p, h)
-	return p
-}
+// marshal is marshalBlock for a caller that keeps plain bytes.
+func marshal(h header, data []byte) []byte { return marshalBlock(h, data).Detach() }
 
-// marshalBlock is marshal into a pooled block with headroom for the IP
-// and Ethernet headers below, so no lower layer copies or reallocates.
+// marshalBlock builds the packet in a pooled block with headroom for
+// the IP and Ethernet headers below, so no lower layer copies or
+// reallocates.
 func marshalBlock(h header, data []byte) *block.Block {
 	b := block.Alloc(HdrLen+len(data), block.DefaultHeadroom)
 	p := b.Bytes()
@@ -386,273 +277,104 @@ func (p *Proto) recv(src, dst ip.Addr, payload []byte) {
 		return
 	}
 	p.MsgsRcvd.Add(1)
-	key := connKey{raddr: src, rport: h.src, lport: h.dst}
-	p.mu.Lock()
-	c := p.conns[key]
-	if c == nil && h.typ == msgSync {
-		l := p.listeners[h.dst]
-		if l == nil {
-			// Port 0 holds the announce-all listener (§5.2):
-			// it accepts any service not explicitly announced.
-			l = p.listeners[0]
-		}
-		if l != nil {
-			c = p.spawnLocked(l, src, h)
-		}
-	}
-	p.mu.Unlock()
-	if c == nil {
+	c, ok := p.tab.Demux(src, h.src, h.dst, h.typ == msgSync, func(c *Conn) {
+		// The passive (Syncee) end of an incoming sync.
+		c.Phase = Syncee
+		c.sndNext = c.ISS + 1
+		c.sndUna = c.ISS + 1
+		c.rcvNext = h.id + 1
+		p.ck.Go(c.timer)
+	})
+	if !ok {
 		// A close for a vanished connection needs no answer; data
 		// gets a close so the peer learns quickly.
 		if h.typ != msgClose {
 			reply := marshalBlock(header{typ: msgClose, src: h.dst, dst: h.src}, nil)
-			p.enqueue(dst, src, reply)
+			p.tx.Send(dst, src, reply)
 		}
 		return
 	}
 	c.input(h, data, src, dst)
 }
 
-// spawnLocked creates the passive (Syncee) end for an incoming sync to
-// a listener.
-func (p *Proto) spawnLocked(l *Conn, src ip.Addr, h header) *Conn {
-	c := p.newConn()
-	c.localPort = h.dst
-	c.localAddr = l.localAddr
-	c.remoteAddr = src
-	c.remotePort = h.src
-	c.listener = l
-	c.state = Syncee
-	c.sndStart = p.rng.Uint32() & 0xffffff
-	c.sndNext = c.sndStart + 1
-	c.sndUna = c.sndStart + 1
-	c.rcvNext = h.id + 1
-	p.conns[connKey{raddr: src, rport: h.src, lport: h.dst}] = c
-	p.ck.Go(c.timer)
-	return c
+// msg is one sequenced packet: sent but not yet acknowledged, or
+// received out of order and waiting for its predecessors.
+type msg struct {
+	id   uint32
+	spec byte
+	data []byte
+	sent time.Time
 }
 
-func (p *Proto) remove(c *Conn) {
-	p.mu.Lock()
-	key := connKey{raddr: c.remoteAddr, rport: c.remotePort, lport: c.localPort}
-	if p.conns[key] == c {
-		delete(p.conns, key)
-	}
-	if p.listeners[c.localPort] == c {
-		delete(p.listeners, c.localPort)
-	}
-	p.mu.Unlock()
-}
-
-// unackedMsg is a sent-but-unacknowledged packet.
-type unackedMsg struct {
-	id    uint32
-	spec  byte
-	data  []byte
-	sent  time.Time
-	timed bool
-}
-
-// Conn is an IL conversation.
+// Conn is an IL conversation. Its Phase follows the IL state machine;
+// ISS is the id of its sync.
 type Conn struct {
-	proto   *Proto
-	rstream *streams.Stream
-
-	mu   sync.Mutex
-	cond vclock.Cond
-
-	state      int
-	localAddr  ip.Addr
-	localPort  uint16
-	remoteAddr ip.Addr
-	remotePort uint16
+	rexmit.Conv
+	proto *Proto
 
 	// Sender state.
-	sndStart uint32
-	sndNext  uint32 // next id to assign
-	sndUna   uint32 // lowest unacknowledged id
-	unacked  []unackedMsg
+	sndNext uint32 // next id to assign
+	sndUna  uint32 // lowest unacknowledged id
+	unacked []msg
 
 	// Receiver state.
-	rcvNext    uint32            // next expected id
-	ooo        map[uint32][]byte // out-of-order within window (data)
-	oooSpec    map[uint32]byte
-	reassembly []byte // partial message being assembled
+	rcvNext    uint32         // next expected id
+	ooo        map[uint32]msg // out-of-order within window (data)
+	reassembly []byte         // partial message being assembled
 
 	// Adaptive round-trip timing (§3).
-	srtt         time.Duration
-	mdev         time.Duration
-	timedID      uint32
-	timedAt      time.Time
-	timing       bool
+	rtt          rexmit.RTT
 	lastProgress time.Time
-	querySent    bool
-
-	listener *Conn
-	accepted *vclock.Mailbox[*Conn]
 
 	closeSeen bool   // peer close received
 	closeID   uint32 // its sequence position
 
 	closed bool
-	err    error
-
-	// trace is the conversation's event ring, armed by writing
-	// "trace on" to the ctl file; disabled it costs one atomic load
-	// per would-be event.
-	trace obs.Ring
 }
 
 var _ xport.Conn = (*Conn)(nil)
-var _ obs.Tracer = (*Conn)(nil)
-
-// Trace implements obs.Tracer; the netdev tree serves it as the
-// conversation's trace file.
-func (c *Conn) Trace() *obs.Ring { return &c.trace }
 
 // Connect implements xport.Conn: the active open (Syncer).
 func (c *Conn) Connect(addr string) error {
-	a, port, err := ip.ParseHostPort(addr)
-	if err != nil || a.IsZero() || port == 0 {
-		return xport.ErrBadAddress
-	}
-	local, err := c.proto.stack.LocalAddrFor(a)
-	if err != nil {
-		return err
-	}
-	p := c.proto
-	p.mu.Lock()
-	//netvet:ignore lock-across-send fixed hierarchy: protocol before conversation, never reversed
-	c.mu.Lock()
-	if c.state != Closed {
-		c.mu.Unlock()
-		p.mu.Unlock()
-		return xport.ErrConnected
-	}
-	c.localAddr = local
-	c.localPort = p.allocEphemeral()
-	c.remoteAddr, c.remotePort = a, port
-	c.sndStart = p.rng.Uint32() & 0xffffff
-	c.sndNext = c.sndStart + 1
-	c.sndUna = c.sndStart + 1
-	c.state = Syncer
-	c.lastProgress = p.ck.Now()
-	p.conns[connKey{raddr: a, rport: port, lport: c.localPort}] = c
-	c.mu.Unlock()
-	p.mu.Unlock()
-
-	p.ck.Go(c.timer)
-	c.sendSync()
-
-	// Block until established or dead, as opening the data file does.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.state == Syncer {
-		c.cond.Wait()
-	}
-	if c.state != Established {
-		if c.err == nil {
-			c.err = vfs.ErrConnRef
-		}
-		c.trace.Emit(obs.EvError, 0, 0)
-		return c.err
-	}
-	c.trace.Emit(obs.EvConnect, 1, 0)
-	return nil
+	return c.proto.tab.Connect(c, addr, func() {
+		c.sndNext = c.ISS + 1
+		c.sndUna = c.ISS + 1
+		c.Phase = Syncer
+		c.lastProgress = c.proto.ck.Now()
+		c.proto.ck.Go(c.timer)
+		c.sendLocked(msgSync, 0, c.ISS, nil)
+	})
 }
 
-// Announce implements xport.Conn. The address "*" (no service)
-// announces every service not explicitly announced, the inetd-less
-// arrangement of §5.2: incoming calls to unannounced ports land on
-// this listener, which learns the requested service from the new
-// connection's local address.
-func (c *Conn) Announce(addr string) error {
-	var port uint16
-	if addr != "*" && addr != "*!*" {
-		var err error
-		_, port, err = ip.ParseHostPort(addr)
-		if err != nil {
-			return xport.ErrBadAddress
-		}
-		if port == 0 {
-			return xport.ErrBadAddress
-		}
-	}
-	p := c.proto
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	//netvet:ignore lock-across-send fixed hierarchy: protocol before conversation, never reversed
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != Closed {
-		return xport.ErrConnected
-	}
-	if _, taken := p.listeners[port]; taken {
-		return xport.ErrInUse
-	}
-	c.localPort = port
-	c.state = Listening
-	p.listeners[port] = c
-	c.trace.Emit(obs.EvAnnounce, int64(port), 0)
-	return nil
-}
-
-// Listen implements xport.Conn: block for the next established call.
-func (c *Conn) Listen() (xport.Conn, error) {
-	c.mu.Lock()
-	if c.state != Listening {
-		c.mu.Unlock()
-		return nil, xport.ErrNotAnnounced
-	}
-	mb := c.accepted
-	c.mu.Unlock()
-	nc, ok := mb.Recv()
-	if !ok {
-		return nil, streams.ErrClosed
-	}
-	return nc, nil
-}
-
-// sendSync (re)transmits the handshake message.
-func (c *Conn) sendSync() {
-	c.mu.Lock()
-	h := header{typ: msgSync, src: c.localPort, dst: c.remotePort, id: c.sndStart}
-	if c.state == Syncee {
-		h.ack = c.rcvNext - 1
-	}
-	src, dst := c.localAddr, c.remoteAddr
-	c.mu.Unlock()
-	c.proto.enqueue(src, dst, marshalBlock(h, nil))
-}
+// Announce implements xport.Conn; "*" announces every service not
+// explicitly announced (§5.2).
+func (c *Conn) Announce(addr string) error { return c.proto.tab.Announce(c, addr) }
 
 // send transmits a control or data packet with current ack state.
 func (c *Conn) sendLocked(typ, spec byte, id uint32, data []byte) {
-	h := header{typ: typ, spec: spec, src: c.localPort, dst: c.remotePort,
+	h := header{typ: typ, spec: spec, src: c.Lport, dst: c.Rport,
 		id: id, ack: c.rcvNext - 1}
+	if typ == msgSync && c.Phase == Syncer {
+		h.ack = 0 // the peer's first id is not known yet
+	}
 	// One copy of the payload into a pooled block with headroom; every
 	// layer below prepends into it in place.
 	pkt := marshalBlock(h, data)
-	// The enqueue is non-blocking, so holding c.mu here is safe even
-	// when the stack below would stall (ARP may queue).
-	c.proto.enqueue(c.localAddr, c.remoteAddr, pkt)
+	// The transmitter queue never blocks, so holding c.Mu here is
+	// safe even when the stack below would stall (ARP may queue).
+	c.proto.tx.Send(c.Laddr, c.Raddr, pkt)
 }
 
 // Write implements xport.Conn: one reliable sequenced message per
 // write, fragmented to the path MTU with the final fragment delimited.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	if c.state != Established && c.state != Syncee {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = xport.ErrNotConnected
-		}
+	c.Mu.Lock()
+	if c.Phase != Established && c.Phase != Syncee {
+		err := c.ErrOr(xport.ErrNotConnected)
+		c.Mu.Unlock()
 		return 0, err
 	}
-	mtu := c.proto.stack.MTUFor(c.remoteAddr) - HdrLen
-	if mtu <= 0 {
-		mtu = 512
-	}
+	mtu := c.proto.tx.MSS(c.Raddr, HdrLen)
 	total := 0
 	for {
 		n := len(p) - total
@@ -661,15 +383,12 @@ func (c *Conn) Write(p []byte) (int, error) {
 		}
 		// The small outstanding-message window (§3): block while
 		// full rather than buffering more.
-		for c.sndNext-c.sndUna >= c.proto.cfg.window() && c.state != Closed && c.state != Closing {
-			c.cond.Wait()
+		for c.sndNext-c.sndUna >= c.proto.cfg.window() && c.Phase != Closed && c.Phase != Closing {
+			c.Cond.Wait()
 		}
-		if c.state == Closed || c.state == Closing {
-			err := c.err
-			c.mu.Unlock()
-			if err == nil {
-				err = streams.ErrHungup
-			}
+		if c.Phase == Closed || c.Phase == Closing {
+			err := c.ErrOr(streams.ErrHungup)
+			c.Mu.Unlock()
 			return total, err
 		}
 		var spec byte
@@ -682,49 +401,40 @@ func (c *Conn) Write(p []byte) (int, error) {
 		// when the ack drops it from the window.
 		data := block.GetBytes(n)
 		copy(data, p[total:total+n])
-		m := unackedMsg{id: id, spec: spec, data: data, sent: c.proto.ck.Now()}
-		if !c.timing {
-			c.timing = true
-			c.timedID = id
-			c.timedAt = m.sent
-			m.timed = true
-		}
+		m := msg{id: id, spec: spec, data: data, sent: c.proto.ck.Now()}
+		c.rtt.Time(id, m.sent)
 		c.unacked = append(c.unacked, m)
 		c.sendLocked(msgData, spec, id, data)
-		c.trace.Emit(obs.EvSend, int64(id), int64(n))
+		c.Ring.Emit(obs.EvSend, int64(id), int64(n))
 		total += n
 		if total == len(p) {
-			c.mu.Unlock()
+			c.Mu.Unlock()
 			return total, nil
 		}
 	}
 }
 
-// Read implements xport.Conn: one message per read (delimited).
-func (c *Conn) Read(p []byte) (int, error) { return c.rstream.Read(p) }
-
 // input processes one received packet.
 func (c *Conn) input(h header, data []byte, src, dst ip.Addr) {
-	c.mu.Lock()
+	c.Mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return
 	}
 	c.lastProgress = c.proto.ck.Now()
 	switch h.typ {
 	case msgSync:
-		switch c.state {
+		switch c.Phase {
 		case Syncer:
-			if h.ack == c.sndStart {
+			if h.ack == c.ISS {
 				c.rcvNext = h.id + 1
-				c.state = Established
-				c.cond.Broadcast()
+				c.proto.tab.Establish(c, Established)
 				c.sendLocked(msgAck, 0, c.sndNext-1, nil)
 			}
 		case Syncee:
 			// Duplicate sync: re-answer with our sync (the peer
 			// is still in Syncer and needs it).
-			c.sendLocked(msgSync, 0, c.sndStart, nil)
+			c.sendLocked(msgSync, 0, c.ISS, nil)
 		case Established:
 			// The peer missed our final ack: a plain ack
 			// settles it without risking a sync ping-pong.
@@ -732,11 +442,11 @@ func (c *Conn) input(h header, data []byte, src, dst ip.Addr) {
 		}
 	case msgAck:
 		c.ackLocked(h.ack)
-		if c.state == Syncee && h.ack >= c.sndStart {
+		if c.Phase == Syncee && h.ack >= c.ISS {
 			c.establishSynceeLocked()
 		}
 	case msgData:
-		if c.state == Syncee {
+		if c.Phase == Syncee {
 			c.establishSynceeLocked()
 		}
 		c.dataLocked(h, data)
@@ -750,7 +460,6 @@ func (c *Conn) input(h header, data []byte, src, dst ip.Addr) {
 		// ("the receiver responds to a query by retransmitting
 		// missing messages").
 		c.retransmitLocked()
-		c.querySent = false
 	case msgClose:
 		// Closes are sequenced like data: the hangup is delivered
 		// only after every earlier message has been consumed, so a
@@ -760,7 +469,7 @@ func (c *Conn) input(h header, data []byte, src, dst ip.Addr) {
 		c.closeID = h.id
 		c.maybeCloseLocked()
 	}
-	c.mu.Unlock()
+	c.Mu.Unlock()
 }
 
 // maybeCloseLocked completes a peer-initiated close once all data
@@ -769,40 +478,24 @@ func (c *Conn) maybeCloseLocked() {
 	if !c.closeSeen {
 		return
 	}
-	if c.state == Established || c.state == Syncee {
+	if c.Phase == Established || c.Phase == Syncee {
 		// Wait for in-sequence delivery of everything before the
 		// close point.
 		if c.rcvNext < c.closeID {
 			return
 		}
 	}
-	switch c.state {
-	case Closing:
-		c.state = Closed
-	case Closed:
-	default:
+	if c.Phase != Closing && c.Phase != Closed {
 		c.sendLocked(msgClose, 0, c.sndNext-1, nil)
-		c.state = Closed
 	}
-	c.cond.Broadcast()
-	c.trace.Emit(obs.EvHangup, 0, 0)
-	c.rstream.HangupUp()
+	c.DieLocked(nil)
 }
 
 func (c *Conn) establishSynceeLocked() {
-	c.state = Established
-	c.cond.Broadcast()
-	c.trace.Emit(obs.EvAccept, 0, 0)
-	if l := c.listener; l != nil {
-		c.listener = nil
-		// TrySend refuses on a full backlog or a closed listener,
-		// exactly the cases the close below covers.
-		ok := l.accepted.TrySend(c)
-		if !ok {
-			// Listener gone or accept queue overflow: refuse.
-			c.sendLocked(msgClose, 0, c.sndNext-1, nil)
-			c.state = Closed
-		}
+	if !c.proto.tab.Establish(c, Established) {
+		// Listener gone or accept queue overflow: refuse.
+		c.sendLocked(msgClose, 0, c.sndNext-1, nil)
+		c.Phase = Closed
 	}
 }
 
@@ -811,24 +504,9 @@ func (c *Conn) ackLocked(ack uint32) {
 	if ack < c.sndUna {
 		return
 	}
-	c.trace.Emit(obs.EvAck, int64(ack), 0)
+	c.Ring.Emit(obs.EvAck, int64(ack), 0)
 	// Round-trip timing on the timed message (§3 adaptive timeouts).
-	if c.timing && ack >= c.timedID {
-		rtt := c.proto.ck.Since(c.timedAt)
-		c.proto.RTTHist.Observe(rtt)
-		if c.srtt == 0 {
-			c.srtt = rtt
-			c.mdev = rtt / 2
-		} else {
-			diff := rtt - c.srtt
-			c.srtt += diff / 8
-			if diff < 0 {
-				diff = -diff
-			}
-			c.mdev += (diff - c.mdev) / 4
-		}
-		c.timing = false
-	}
+	c.rtt.Ack(ack, c.proto.ck.Now(), &c.proto.RTTHist)
 	i := 0
 	for i < len(c.unacked) && c.unacked[i].id <= ack {
 		i++
@@ -841,7 +519,7 @@ func (c *Conn) ackLocked(ack uint32) {
 		}
 		n := copy(c.unacked, c.unacked[i:])
 		for j := n; j < len(c.unacked); j++ {
-			c.unacked[j] = unackedMsg{}
+			c.unacked[j] = msg{}
 		}
 		c.unacked = c.unacked[:n]
 	}
@@ -849,7 +527,7 @@ func (c *Conn) ackLocked(ack uint32) {
 	if c.sndUna > c.sndNext {
 		c.sndNext = c.sndUna
 	}
-	c.cond.Broadcast()
+	c.Cond.Broadcast()
 }
 
 // dataLocked handles a data packet: in-order delivery, out-of-order
@@ -858,42 +536,38 @@ func (c *Conn) dataLocked(h header, data []byte) {
 	c.ackLocked(h.ack)
 	switch {
 	case h.id == c.rcvNext:
-		c.trace.Emit(obs.EvRecv, int64(h.id), int64(len(data)))
+		c.Ring.Emit(obs.EvRecv, int64(h.id), int64(len(data)))
 		c.acceptLocked(h.spec, data)
 		// Drain any buffered successors.
 		for {
-			d, ok := c.ooo[c.rcvNext]
+			m, ok := c.ooo[c.rcvNext]
 			if !ok {
 				break
 			}
-			spec := c.oooSpec[c.rcvNext]
 			delete(c.ooo, c.rcvNext)
-			delete(c.oooSpec, c.rcvNext)
-			c.acceptLocked(spec, d)
+			c.acceptLocked(m.spec, m.data)
 		}
 		c.sendLocked(msgAck, 0, c.sndNext-1, nil)
 		c.maybeCloseLocked()
 	case h.id < c.rcvNext:
 		// Duplicate: re-acknowledge so the sender advances.
 		c.proto.DupsReceived.Add(1)
-		c.trace.Emit(obs.EvDup, int64(h.id), 0)
+		c.Ring.Emit(obs.EvDup, int64(h.id), 0)
 		c.sendLocked(msgAck, 0, c.sndNext-1, nil)
 	case h.id < c.rcvNext+c.proto.cfg.window():
 		if c.ooo == nil {
-			c.ooo = make(map[uint32][]byte)
-			c.oooSpec = make(map[uint32]byte)
+			c.ooo = make(map[uint32]msg)
 		}
 		if _, dup := c.ooo[h.id]; dup {
 			c.proto.DupsReceived.Add(1)
-			c.trace.Emit(obs.EvDup, int64(h.id), 0)
+			c.Ring.Emit(obs.EvDup, int64(h.id), 0)
 		}
-		c.ooo[h.id] = append([]byte(nil), data...)
-		c.oooSpec[h.id] = h.spec
+		c.ooo[h.id] = msg{id: h.id, spec: h.spec, data: append([]byte(nil), data...)}
 	default:
 		// Outside the window: "messages outside the window are
 		// discarded and must be retransmitted" (§3).
 		c.proto.OutOfWindow.Add(1)
-		c.trace.Emit(obs.EvOutOfOrder, int64(h.id), 0)
+		c.Ring.Emit(obs.EvOutOfOrder, int64(h.id), 0)
 	}
 }
 
@@ -905,7 +579,7 @@ func (c *Conn) acceptLocked(spec byte, data []byte) {
 		// Whole message in one packet (the common case): one copy of
 		// the borrowed receive bytes into a pooled block, delivered
 		// without re-materializing.
-		c.rstream.DeviceUpOwned(block.Copy(data, 0))
+		c.Rstream.DeviceUpOwned(block.Copy(data, 0))
 		return
 	}
 	c.reassembly = append(c.reassembly, data...)
@@ -913,27 +587,9 @@ func (c *Conn) acceptLocked(spec byte, data []byte) {
 		// Hand up a pooled copy and keep the scratch for the next
 		// message: the reassembly buffer grows to the message size
 		// once per conversation instead of once per message.
-		c.rstream.DeviceUpOwned(block.Copy(c.reassembly, 0))
+		c.Rstream.DeviceUpOwned(block.Copy(c.reassembly, 0))
 		c.reassembly = c.reassembly[:0]
 	}
-}
-
-// rto returns the current retransmission timeout.
-func (c *Conn) rtoLocked() time.Duration {
-	if c.proto.cfg.FixedRTO > 0 {
-		return c.proto.cfg.FixedRTO
-	}
-	if c.srtt == 0 {
-		return synRetry
-	}
-	rto := c.srtt + 4*c.mdev
-	if rto < minRTO {
-		rto = minRTO
-	}
-	if rto > maxRTO {
-		rto = maxRTO
-	}
-	return rto
 }
 
 // retransmitLocked resends every unacknowledged message.
@@ -942,11 +598,11 @@ func (c *Conn) retransmitLocked() {
 		m := &c.unacked[i]
 		m.sent = c.proto.ck.Now()
 		c.proto.Retransmits.Add(1)
-		c.trace.Emit(obs.EvRetransmit, int64(m.id), 0)
+		c.Ring.Emit(obs.EvRetransmit, int64(m.id), 0)
 		c.sendLocked(msgData, m.spec, m.id, m.data)
 	}
 	// Retransmitted messages cannot be timed (Karn's rule).
-	c.timing = false
+	c.rtt.Retransmitted()
 }
 
 // timer is the connection's helper kernel process: sync retries,
@@ -955,46 +611,41 @@ func (c *Conn) timer() {
 	ck := c.proto.ck
 	for {
 		ck.Sleep(tickInterval)
-		c.mu.Lock()
-		if c.closed || c.state == Closed {
-			c.mu.Unlock()
+		c.Mu.Lock()
+		if c.closed || c.Phase == Closed {
+			c.Mu.Unlock()
 			return
 		}
 		now := ck.Now()
-		switch c.state {
+		switch c.Phase {
 		case Syncer, Syncee:
 			if now.Sub(c.lastProgress) > c.proto.cfg.deathTime() {
-				c.diedLocked(vfs.ErrTimedOut)
-				c.mu.Unlock()
+				c.DieLocked(vfs.ErrTimedOut)
+				c.Mu.Unlock()
 				return
 			}
-			c.mu.Unlock()
-			c.sendSync()
+			c.sendLocked(msgSync, 0, c.ISS, nil) // retransmit the handshake
+			c.Mu.Unlock()
 			ck.Sleep(synRetry - tickInterval)
 			continue
 		case Established, Closing:
 			if len(c.unacked) > 0 {
 				oldest := c.unacked[0].sent
-				if now.Sub(oldest) > c.rtoLocked() {
+				if now.Sub(oldest) > c.rtt.RTO(minRTO, maxRTO, synRetry, c.proto.cfg.FixedRTO) {
 					if now.Sub(c.lastProgress) > c.proto.cfg.deathTime() {
-						c.diedLocked(vfs.ErrTimedOut)
-						c.mu.Unlock()
+						c.DieLocked(vfs.ErrTimedOut)
+						c.Mu.Unlock()
 						return
 					}
 					if c.proto.cfg.BlindRetransmit {
 						c.retransmitLocked()
-					} else if !c.querySent {
-						// §3: send a query instead of
-						// retransmitting blindly.
-						c.querySent = true
-						c.proto.QueriesSent.Add(1)
-						c.trace.Emit(obs.EvQuery, 0, 0)
-						c.sendLocked(msgQuery, 0, c.sndNext-1, nil)
 					} else {
-						// Query itself may be lost;
-						// requery after another RTO.
+						// §3: send a query instead of
+						// retransmitting blindly. The query
+						// itself may be lost; requery after
+						// another RTO.
 						c.proto.QueriesSent.Add(1)
-						c.trace.Emit(obs.EvQuery, 0, 0)
+						c.Ring.Emit(obs.EvQuery, 0, 0)
 						c.sendLocked(msgQuery, 0, c.sndNext-1, nil)
 					}
 					// Push the timeout forward so we do not
@@ -1004,99 +655,72 @@ func (c *Conn) timer() {
 					}
 				}
 			}
-			if c.state == Closing && len(c.unacked) == 0 {
+			if c.Phase == Closing && len(c.unacked) == 0 {
 				c.sendLocked(msgClose, 0, c.sndNext-1, nil)
 			}
 		}
-		c.mu.Unlock()
+		c.Mu.Unlock()
 	}
-}
-
-func (c *Conn) diedLocked(err error) {
-	c.err = err
-	c.state = Closed
-	c.cond.Broadcast()
-	c.trace.Emit(obs.EvHangup, 0, 0)
-	c.rstream.HangupUp()
-}
-
-// LocalAddr implements xport.Conn.
-func (c *Conn) LocalAddr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ip.HostPort(c.localAddr, c.localPort)
-}
-
-// RemoteAddr implements xport.Conn.
-func (c *Conn) RemoteAddr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ip.HostPort(c.remoteAddr, c.remotePort)
 }
 
 // Status implements xport.Conn: the ASCII state line, with the timer
 // and window detail of the kernel's status files.
 func (c *Conn) Status() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	return fmt.Sprintf("%s rtt %d ms unacked %d window %d",
-		stateNames[c.state], c.srtt.Milliseconds(), len(c.unacked), c.proto.cfg.window())
+		stateNames[c.Phase], c.rtt.Smoothed().Milliseconds(), len(c.unacked), c.proto.cfg.window())
 }
 
 // State returns the symbolic connection state (for tests).
-func (c *Conn) State() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return stateNames[c.state]
-}
+func (c *Conn) State() string { return c.PhaseName(stateNames) }
 
 // RTT returns the smoothed round-trip estimate.
 func (c *Conn) RTT() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.srtt
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
+	return c.rtt.Smoothed()
 }
 
 // Close implements xport.Conn.
 func (c *Conn) Close() error {
-	c.mu.Lock()
+	c.Mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	switch c.state {
+	switch c.Phase {
 	case Established, Syncee, Syncer:
-		c.state = Closing
+		c.Phase = Closing
 		// The close consumes a sequence number so the peer can
 		// order it after all in-flight data.
 		id := c.sndNext
 		c.sndNext++
 		c.sendLocked(msgClose, 0, id, nil)
 	case Listening:
-		c.state = Closed
-		c.accepted.Close()
+		c.UnannounceLocked()
 	default:
-		c.state = Closed
+		c.Phase = Closed
 	}
-	st := c.state
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	st := c.Phase
+	c.Cond.Broadcast()
+	c.Mu.Unlock()
 	if st == Closed {
-		c.proto.remove(c)
+		c.proto.tab.Remove(c)
 	}
-	c.rstream.HangupUp()
+	c.Rstream.HangupUp()
 	// Give the close exchange a moment in the background, then die.
 	// The conversation stays in the demux table until then so late
 	// packets (our peer's acks) land here quietly instead of
 	// provoking stray "unknown conversation" closes.
 	c.proto.ck.AfterFunc(200*time.Millisecond, func() {
-		c.mu.Lock()
-		c.state = Closed
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		c.proto.remove(c)
-		c.rstream.Close()
+		c.Mu.Lock()
+		c.Phase = Closed
+		c.Cond.Broadcast()
+		c.Mu.Unlock()
+		c.proto.tab.Remove(c)
+		c.Rstream.Close()
 	})
 	return nil
 }

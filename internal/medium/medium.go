@@ -20,11 +20,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// SleepUntil parks until t on the real clock. Kept for callers outside
-// the clock-threaded engines; code holding a Profile should use its
-// clock instead.
-func SleepUntil(t time.Time) { vclock.Real.SleepUntil(t) }
-
 // Profile characterizes one direction of a link.
 type Profile struct {
 	Latency   time.Duration // propagation delay per message

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 func TestPipeOrderedDelivery(t *testing.T) {
@@ -157,10 +159,12 @@ func TestDuplex(t *testing.T) {
 	}
 }
 
+// TestSleepUntilPrecision pins the real-clock park that paces every
+// Profile without a Clock: wire time is only as accurate as this.
 func TestSleepUntilPrecision(t *testing.T) {
 	for _, d := range []time.Duration{100 * time.Microsecond, 1 * time.Millisecond, 5 * time.Millisecond} {
 		target := time.Now().Add(d)
-		SleepUntil(target)
+		vclock.Real.SleepUntil(target)
 		over := time.Since(target)
 		if over < 0 {
 			t.Errorf("woke %v early for %v", -over, d)
@@ -171,7 +175,7 @@ func TestSleepUntilPrecision(t *testing.T) {
 	}
 	// Past deadlines return immediately.
 	start := time.Now()
-	SleepUntil(start.Add(-time.Second))
+	vclock.Real.SleepUntil(start.Add(-time.Second))
 	if time.Since(start) > time.Millisecond {
 		t.Error("past deadline slept")
 	}

@@ -13,10 +13,10 @@ import (
 func mounted(t *testing.T) (vfs.Node, *ramfs.FS, *ninep.Client) {
 	t.Helper()
 	fs := ramfs.New("srv")
-	a, b := ninep.NewPipe()
+	a, b := ninep.NewPipe(nil)
 	go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
-	})
+	}, nil)
 	root, cl, err := Mount(a, "glenda", "")
 	if err != nil {
 		t.Fatal(err)

@@ -17,10 +17,10 @@ import (
 func mountedConfig(t *testing.T, cfg Config) (vfs.Node, *ramfs.FS, *ninep.Client) {
 	t.Helper()
 	fs := ramfs.New("srv")
-	a, b := ninep.NewPipe()
+	a, b := ninep.NewPipe(nil)
 	go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
-	})
+	}, nil)
 	root, cl, err := MountConfig(a, "glenda", "", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -243,13 +243,13 @@ func (h blockSrvHandle) Close() error                           { return nil }
 // allocated for the suppressed replies must return to the allocator.
 func TestFlushRacesReadahead(t *testing.T) {
 	srv := &blockSrv{blockFrom: 2 * int64(ninep.MaxFData), release: make(chan struct{})}
-	a, b := ninep.NewPipe()
+	a, b := ninep.NewPipe(nil)
 	serveDone := make(chan struct{})
 	go func() {
 		defer close(serveDone)
 		ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 			return srv.Root(), nil
-		})
+		}, nil)
 	}()
 	before := block.Snapshot()
 
@@ -345,10 +345,10 @@ func (errSrvHandle) Close() error { return nil }
 // must reach the caller — on a later Write or, at the latest, on
 // Close — never be swallowed.
 func TestWriteBehindErrorSurfaces(t *testing.T) {
-	a, b := ninep.NewPipe()
+	a, b := ninep.NewPipe(nil)
 	go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return errSrv{}.Root(), nil
-	})
+	}, nil)
 	root, cl, err := MountConfig(a, "glenda", "", FileConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -312,6 +312,7 @@ func TestPushedModulesThroughCtl(t *testing.T) {
 
 	const nmsg = 20
 	srvReady := make(chan struct{})
+	srvArmed := make(chan struct{}) // the accepted end has its stack
 	go func() {
 		lctl, err := nsB.Open("/net/tcp/clone", vfs.ORDWR)
 		if err != nil {
@@ -344,6 +345,7 @@ func TestPushedModulesThroughCtl(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		close(srvArmed)
 		data, err := nsB.Open(ndir+"/data", vfs.ORDWR)
 		if err != nil {
 			t.Error(err)
@@ -402,6 +404,13 @@ func TestPushedModulesThroughCtl(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer data.Close()
+	// Traffic starts only once the far end is armed too: a message
+	// that arrived before its pushes would reach it undecoded.
+	select {
+	case <-srvArmed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never armed its conversation")
+	}
 	var sent int
 	b := make([]byte, 4096)
 	for i := 0; i < nmsg; i++ {

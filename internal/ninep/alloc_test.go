@@ -21,8 +21,8 @@ func TestAllocsRreadRoundTrip(t *testing.T) {
 	}
 	fs := ramfs.New("srv")
 	fs.WriteFile("f", make([]byte, 4096), 0664)
-	a, p := NewPipe()
-	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil })
+	a, p := NewPipe(nil)
+	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, nil)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)

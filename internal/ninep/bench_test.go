@@ -13,8 +13,8 @@ import (
 func benchClient(b *testing.B) (*Client, *ramfs.FS) {
 	b.Helper()
 	fs := ramfs.New("srv")
-	a, p := NewPipe()
-	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil })
+	a, p := NewPipe(nil)
+	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, nil)
 	cl, err := NewClient(a)
 	if err != nil {
 		b.Fatal(err)

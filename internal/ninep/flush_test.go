@@ -47,8 +47,8 @@ func (h blockHandle) Close() error                           { return nil }
 // connection keeps working.
 func TestFlushAbandonsBlockedRead(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") })
+	a, b := NewPipe(nil)
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, nil)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +120,8 @@ func TestFlushAbandonsBlockedRead(t *testing.T) {
 // surface under the recycled tag.
 func TestFlushedTagReuse(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") })
+	a, b := NewPipe(nil)
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, nil)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +207,8 @@ func TestFlushedTagReuse(t *testing.T) {
 // the queue advances it must skip the handle entirely.
 func TestFlushedQueuedReadSkipsHandle(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") })
+	a, b := NewPipe(nil)
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, nil)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)

@@ -16,10 +16,10 @@ import (
 func startServer(t *testing.T) (*Client, *ramfs.FS) {
 	t.Helper()
 	fs := ramfs.New("bootes")
-	a, b := NewPipe()
+	a, b := NewPipe(nil)
 	go Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
-	})
+	}, nil)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)
@@ -261,14 +261,14 @@ func TestServerSurvivesUnknownFid(t *testing.T) {
 }
 
 func TestClientCloseFailsPendingRPCs(t *testing.T) {
-	a, b := NewPipe()
+	a, b := NewPipe(nil)
 	blockOpen := make(chan struct{})
 	fs := ramfs.New("u")
 	fs.WriteFile("f", nil, 0664)
 	go Serve(b, func(uname, aname string) (vfs.Node, error) {
 		<-blockOpen
 		return fs.Root(), nil
-	})
+	}, nil)
 	cl, err := NewClient(a)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestClientCloseFailsPendingRPCs(t *testing.T) {
 }
 
 func TestPipeSemantics(t *testing.T) {
-	a, b := NewPipe()
+	a, b := NewPipe(nil)
 	if err := a.WriteMsg([]byte("one")); err != nil {
 		t.Fatal(err)
 	}

@@ -206,14 +206,9 @@ func (q *ticketQ) done() {
 
 // Serve runs a single-connection 9P server on conn until the
 // transport fails or the client goes away. It returns the transport
-// error (io.EOF for a clean close).
-func Serve(conn MsgConn, attach AttachFunc) error {
-	return ServeClock(conn, attach, nil)
-}
-
-// ServeClock is Serve with an explicit clock driving the per-request
+// error (io.EOF for a clean close). ck drives the per-request
 // goroutines; nil means the real clock.
-func ServeClock(conn MsgConn, attach AttachFunc, ck vclock.Clock) error {
+func Serve(conn MsgConn, attach AttachFunc, ck vclock.Clock) error {
 	return NewServer(attach, ServerConfig{Clock: ck}).ServeConn(conn)
 }
 

@@ -32,10 +32,10 @@ func (c *countingConn) count(typ uint8) int64 { return c.counts[typ].Load() }
 func startCountingServer(t *testing.T, cfg ClientConfig) (*Client, *countingConn, *ramfs.FS) {
 	t.Helper()
 	fs := ramfs.New("bootes")
-	a, b := NewPipe()
+	a, b := NewPipe(nil)
 	go Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
-	})
+	}, nil)
 	cc := &countingConn{MsgConn: a}
 	cl, err := NewClientConfig(cc, cfg)
 	if err != nil {
@@ -179,8 +179,8 @@ func TestWindowedShortReadTruncates(t *testing.T) {
 	want := pattern(size)
 	fs := &gateFS{content: want, gate: 3 * MaxFData, release: make(chan struct{})}
 	t.Cleanup(func() { close(fs.release) })
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil })
+	a, b := NewPipe(nil)
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, nil)
 	cc := &countingConn{MsgConn: a}
 	cl, err := NewClientConfig(cc, ClientConfig{WindowedTransfers: true, Window: 8})
 	if err != nil {
@@ -250,8 +250,8 @@ func (h streamHandle) Close() error                           { return nil }
 // WindowedTransfers — for plain file trees.)
 func TestDefaultConfigReadsSerial(t *testing.T) {
 	fs := &streamFS{}
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil })
+	a, b := NewPipe(nil)
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, nil)
 	cc := &countingConn{MsgConn: a}
 	cl, err := NewClientConfig(cc, ClientConfig{})
 	if err != nil {
@@ -292,8 +292,8 @@ func TestDefaultConfigReadsSerial(t *testing.T) {
 // as soon as a tag frees.
 func TestTagExhaustionBlocks(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
-	a, b := NewPipe()
-	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") })
+	a, b := NewPipe(nil)
+	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, nil)
 	// Window 1 keeps Fid.Read serial; MaxInFlight 3 leaves room for
 	// the two parked reads plus the probe that must block.
 	cl, err := NewClientConfig(a, ClientConfig{Window: 1, MaxInFlight: 3})

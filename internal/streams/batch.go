@@ -226,8 +226,8 @@ func (st *batchState) armTimerLocked(down *Queue) {
 	st.timer = s.Clock().AfterFunc(st.cfg.Delay, func() {
 		// The config read lock makes the chain traversal safe against
 		// a concurrent push/pop, exactly as the put chains do.
-		s.cfg.RLock()
-		defer s.cfg.RUnlock()
+		s.down.RLock()
+		defer s.down.RUnlock()
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		if st.closed || st.gen != gen {

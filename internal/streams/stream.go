@@ -25,11 +25,13 @@ type Stream struct {
 	limit int
 	clk   vclock.Clock
 
-	cfg      chainLock // guards module list changes vs. traffic
-	topRead  *Queue    // up direction terminator: user reads here
-	topWrite *Queue    // down direction entry: user writes here
-	devUp    *Queue    // up direction entry: device injects here
-	devWrite *Queue    // down direction terminator: device output
+	// down and up guard the module list against the traffic in each
+	// direction (see chainLock); push and pop take both, down first.
+	down, up chainLock
+	topRead  *Queue // up direction terminator: user reads here
+	topWrite *Queue // down direction entry: user writes here
+	devUp    *Queue // up direction entry: device injects here
+	devWrite *Queue // down direction terminator: device output
 
 	rlock sync.Mutex // the per-stream read lock of §2.4.1
 
@@ -47,16 +49,16 @@ type DeviceFunc func(b *Block)
 // dev. limit <= 0 selects DefaultLimit.
 func New(limit int, dev DeviceFunc) *Stream { return NewClock(limit, nil, dev) }
 
-// NewClock is New with an explicit clock: flow-control waits and
-// residency stamps go through ck, so a virtual-clock stream parks
-// cooperatively with the simulation scheduler. nil means the real
-// clock.
+// NewClock is New with an explicit clock: flow-control waits go
+// through ck, so a virtual-clock stream parks cooperatively with the
+// simulation scheduler. nil means the real clock.
 func NewClock(limit int, ck vclock.Clock, dev DeviceFunc) *Stream {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
 	s := &Stream{limit: limit, clk: vclock.Or(ck)}
-	s.cfg.init(s.clk)
+	s.down.init(s.clk)
+	s.up.init(s.clk)
 	s.topRead = newQueue(s, nil, true, PutQ)
 	s.topWrite = newQueue(s, nil, false, PassPut)
 	s.devUp = newQueue(s, nil, true, PassPut)
@@ -102,14 +104,16 @@ func (s *Stream) Push(qi *Qinfo, arg any) error {
 		}
 	}
 	// Splice below the top pair.
-	s.cfg.Lock()
+	s.down.Lock()
+	s.up.Lock()
 	up.next = s.topRead
 	down.next = s.topWrite.next
 	s.topWrite.next = down
 	// Find the queue currently feeding topRead and repoint it.
 	prev := s.prevUpLocked(s.topRead)
 	prev.next = up
-	s.cfg.Unlock()
+	s.up.Unlock()
+	s.down.Unlock()
 	return nil
 }
 
@@ -136,15 +140,17 @@ func (s *Stream) Pop() error {
 
 // popModule unsplices and returns the top module's up queue.
 //
-// While the exclusive config lock is held — no put chain in flight,
-// no writer able to start one — the module's Drain hook runs, so any
-// data it holds (a batch window's pending coalesced block) is emitted
-// down the still-intact chain BEFORE the module disappears. A write
-// issued after Pop returns therefore cannot overtake data written
-// before it.
+// While the down lock is held exclusively — no downward put chain in
+// flight, no writer able to start one — the module's Drain hook runs,
+// so any data it holds (a batch window's pending coalesced block) is
+// emitted down the still-intact chain BEFORE the module disappears. A
+// write issued after Pop returns therefore cannot overtake data
+// written before it. The up lock is taken only after the drain: the
+// drain may park on the device, and received data must keep flowing
+// up meanwhile.
 func (s *Stream) popModule() *Queue {
-	s.cfg.Lock()
-	defer s.cfg.Unlock()
+	s.down.Lock()
+	defer s.down.Unlock()
 	down := s.topWrite.next
 	if down == s.devWrite || down == nil {
 		return nil
@@ -154,8 +160,10 @@ func (s *Stream) popModule() *Queue {
 		up.qi.Drain(up)
 	}
 	s.topWrite.next = down.next
+	s.up.Lock()
 	prev := s.prevUpLocked(up)
 	prev.next = up.next
+	s.up.Unlock()
 	up.close()
 	down.close()
 	return up
@@ -177,8 +185,8 @@ type StatsSource interface{ StatsGroup() *obs.Group }
 
 // ModuleStats returns the stats groups of pushed modules, top first.
 func (s *Stream) ModuleStats() []*obs.Group {
-	s.cfg.RLock()
-	defer s.cfg.RUnlock()
+	s.down.RLock()
+	defer s.down.RUnlock()
 	var gs []*obs.Group
 	for q := s.topWrite.next; q != nil && q != s.devWrite; q = q.next {
 		if q.other == nil {
@@ -193,8 +201,8 @@ func (s *Stream) ModuleStats() []*obs.Group {
 
 // Modules returns the names of pushed modules, top first.
 func (s *Stream) Modules() []string {
-	s.cfg.RLock()
-	defer s.cfg.RUnlock()
+	s.down.RLock()
+	defer s.down.RUnlock()
 	var names []string
 	for q := s.topWrite.next; q != nil && q != s.devWrite; q = q.next {
 		if q.qi != nil {
@@ -229,9 +237,9 @@ func (s *Stream) Write(p []byte) (int, error) {
 		// concurrent push or pop (which takes the lock exclusively)
 		// cannot unsplice a queue while a block is traversing it, so
 		// reconfiguration under load neither drops nor reorders data.
-		s.cfg.RLock()
+		s.down.RLock()
 		s.topWrite.Put(b)
-		s.cfg.RUnlock()
+		s.down.RUnlock()
 		if total == len(p) {
 			return total, nil
 		}
@@ -268,9 +276,9 @@ func (s *Stream) WriteCtl(cmd string) error {
 			return nil
 		}
 	}
-	s.cfg.RLock()
+	s.down.RLock()
 	s.topWrite.Put(NewCtlBlock(cmd))
-	s.cfg.RUnlock()
+	s.down.RUnlock()
 	return nil
 }
 
@@ -297,7 +305,6 @@ func (s *Stream) Read(p []byte) (int, error) {
 			b.Free()
 			continue // control information is not data
 		}
-		s.observeResidency(b)
 		n := copy(p[total:], b.Buf)
 		total += n
 		if n < len(b.Buf) {
@@ -328,11 +335,10 @@ func (s *Stream) Read(p []byte) (int, error) {
 //
 //netvet:owns b
 func (s *Stream) DeviceUp(b *Block) {
-	s.stampUp(b)
 	// Held across the chain for the same reason as Write: see there.
-	s.cfg.RLock()
+	s.up.RLock()
 	s.devUp.Put(b)
-	s.cfg.RUnlock()
+	s.up.RUnlock()
 }
 
 // DeviceUpData is DeviceUp for a delimited data payload. The payload
@@ -401,17 +407,23 @@ func (s *Stream) isClosed() bool {
 // QueuedBytes reports bytes waiting at the top read queue.
 func (s *Stream) QueuedBytes() int { return s.topRead.Len() }
 
-// chainLock is the reader-writer lock guarding the module list against
-// reconfiguration: every put chain holds it shared for its whole
-// traversal; push and pop take it exclusively, so an unsplice can
-// never happen under a block in flight. A put chain can park while
-// holding the read side — flow control in a queueing module, or a
-// bandwidth-paced device write — so the waiters must park through the
-// stream's clock: a plain sync.RWMutex waiter never yields its virtual
-// scheduler token and would wedge a discrete-event run (the same rule
-// ninep.wlock follows). Writers have priority over new readers, so a
-// pop under continuous traffic is bounded by the chains already in
-// flight, not starved by new ones.
+// chainLock is the reader-writer lock guarding one direction of the
+// module list against reconfiguration: every put chain holds its
+// direction's lock shared for its whole traversal; push and pop take
+// both exclusively, so an unsplice can never happen under a block in
+// flight. The directions are locked apart because a down chain can
+// park on the device — an unbuffered wire whose far end is another
+// stream's device reader — while that far stream's pending push holds
+// off its own up chain: with one lock per stream, two connected
+// streams each pushing mid-traffic would wait on each other forever.
+//
+// A put chain can park while holding the read side — flow control in
+// a queueing module, or a bandwidth-paced device write — so the
+// waiters must park through the stream's clock: a plain sync.RWMutex
+// waiter never yields its virtual scheduler token and would wedge a
+// discrete-event run (the same rule ninep.wlock follows). Writers have
+// priority over new readers, so a pop under continuous traffic is
+// bounded by the chains already in flight, not starved by new ones.
 type chainLock struct {
 	mu      sync.Mutex
 	rcond   vclock.Cond // readers waiting for the writer to leave

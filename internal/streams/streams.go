@@ -62,9 +62,6 @@ type Block struct {
 	Delim bool
 	Buf   []byte
 	inner *block.Block
-	// stamp is the DeviceUp time (UnixNano) when residency sampling
-	// is enabled, zero otherwise.
-	stamp int64
 }
 
 // NewBlock returns a data block holding a copy of p, drawn from the

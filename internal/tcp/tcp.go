@@ -12,14 +12,13 @@ package tcp
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
 	"repro/internal/ip"
 	"repro/internal/obs"
+	"repro/internal/rexmit"
 	"repro/internal/streams"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
@@ -42,11 +41,12 @@ const (
 // ever advertised).
 const BufSize = 64 * 1024
 
-// Connection states.
+// Connection states, numbered after the phases the transport core
+// shares.
 const (
-	Closed = iota
-	Listen
-	SynSent
+	Closed  = rexmit.Closed
+	Listen  = rexmit.Listening
+	SynSent = iota
 	SynRcvd
 	Established
 	FinWait1
@@ -73,14 +73,9 @@ const (
 
 // Proto is a machine's TCP protocol device.
 type Proto struct {
-	stack *ip.Stack
-	ck    vclock.Clock
-
-	mu        sync.Mutex
-	conns     map[connKey]*Conn
-	listeners map[uint16]*Conn
-	nextEphem uint16
-	rng       *rand.Rand
+	ck  vclock.Clock
+	tab *rexmit.Table[*Conn]
+	tx  *rexmit.Transmitter
 
 	Retransmits atomic.Int64
 	SegsSent    atomic.Int64
@@ -92,29 +87,20 @@ type Proto struct {
 	stats   *obs.Group
 }
 
-type connKey struct {
-	raddr ip.Addr
-	rport uint16
-	lport uint16
-}
-
 var _ xport.Proto = (*Proto)(nil)
 
 // New creates the TCP device on a stack and registers its demux.
 func New(stack *ip.Stack) *Proto {
-	ck := stack.Clock()
 	p := &Proto{
-		stack:     stack,
-		ck:        ck,
-		conns:     make(map[connKey]*Conn),
-		listeners: make(map[uint16]*Conn),
-		nextEphem: 5000,
-		rng:       rand.New(rand.NewSource(ck.Now().UnixNano())),
+		ck: stack.Clock(),
 	}
+	p.tx = rexmit.NewTransmitter(stack, ip.ProtoTCP, &p.SegsSent)
+	p.tab = rexmit.NewTable(p.tx, 5000, func() *Conn { return &Conn{proto: p} })
 	p.stats = new(obs.Group).
 		AddAtomic("segs-sent", &p.SegsSent).
 		AddAtomic("segs-rcvd", &p.SegsRcvd).
 		AddAtomic("retransmits", &p.Retransmits).
+		AddAtomic("tx-drops", &p.tx.Drops).
 		AddHist("rtt", &p.RTTHist)
 	stack.Register(ip.ProtoTCP, p.recv)
 	return p
@@ -132,67 +118,11 @@ func (p *Proto) StatsGroup() *obs.Group { return p.stats }
 // virtual) time domain as the protocol engine.
 func (p *Proto) Clock() vclock.Clock { return p.ck }
 
-// Close tears the whole engine down at machine shutdown: every
-// conversation dies immediately — no FIN exchange, the machine is
-// going away — and every listener stops accepting, so per-connection
-// timers and blocked readers, writers, and accepts all wake and exit.
-func (p *Proto) Close() {
-	p.mu.Lock()
-	all := make([]*Conn, 0, len(p.conns)+len(p.listeners))
-	for _, c := range p.conns {
-		all = append(all, c)
-	}
-	for _, l := range p.listeners {
-		all = append(all, l)
-	}
-	p.conns = make(map[connKey]*Conn)
-	p.listeners = make(map[uint16]*Conn)
-	p.mu.Unlock()
-	for _, c := range all {
-		c.mu.Lock()
-		if c.state == Listen {
-			c.accepted.Close()
-		}
-		if c.err == nil {
-			c.err = vfs.ErrHungup
-		}
-		c.dieLocked()
-		c.mu.Unlock()
-	}
-}
+// Close tears the whole engine down at machine shutdown.
+func (p *Proto) Close() { p.tab.Close() }
 
 // NewConn implements xport.Proto.
-func (p *Proto) NewConn() (xport.Conn, error) { return p.newConn(), nil }
-
-func (p *Proto) newConn() *Conn {
-	c := &Conn{proto: p, state: Closed}
-	c.cond.Init(p.ck, &c.mu)
-	c.rstream = streams.NewClock(1<<22, p.ck, nil)
-	c.accepted = vclock.NewMailbox[*Conn](p.ck, 8)
-	return c
-}
-
-func (p *Proto) allocEphemeralLocked() uint16 {
-	for {
-		p.nextEphem++
-		if p.nextEphem < 5000 {
-			p.nextEphem = 5000
-		}
-		if _, taken := p.listeners[p.nextEphem]; taken {
-			continue
-		}
-		free := true
-		for k := range p.conns {
-			if k.lport == p.nextEphem {
-				free = false
-				break
-			}
-		}
-		if free {
-			return p.nextEphem
-		}
-	}
-}
+func (p *Proto) NewConn() (xport.Conn, error) { return p.tab.New(), nil }
 
 type header struct {
 	src, dst uint16
@@ -201,12 +131,8 @@ type header struct {
 	win      uint16
 }
 
-func marshal(h header, data []byte) []byte {
-	p := make([]byte, HdrLen+len(data))
-	copy(p[HdrLen:], data)
-	fillHeader(p, h)
-	return p
-}
+// marshal is marshalBlock for a caller that keeps plain bytes.
+func marshal(h header, data []byte) []byte { return marshalBlock(h, data).Detach() }
 
 // marshalBlock builds the segment in a pooled block with headroom for
 // the IP and Ethernet headers, so lower layers prepend in place.
@@ -274,75 +200,32 @@ func (p *Proto) recv(src, dst ip.Addr, payload []byte) {
 		return
 	}
 	p.SegsRcvd.Add(1)
-	key := connKey{raddr: src, rport: h.src, lport: h.dst}
-	p.mu.Lock()
-	c := p.conns[key]
-	if c == nil && h.flags&flagSYN != 0 && h.flags&flagACK == 0 {
-		l := p.listeners[h.dst]
-		if l == nil {
-			l = p.listeners[0] // the announce-all listener (§5.2)
-		}
-		if l != nil {
-			c = p.spawnLocked(l, src, h)
-		}
-	}
-	p.mu.Unlock()
-	if c == nil {
+	syn := h.flags&(flagSYN|flagACK) == flagSYN
+	c, ok := p.tab.Demux(src, h.src, h.dst, syn, func(c *Conn) {
+		c.Phase = SynRcvd
+		c.sndUna, c.sndNxt = c.ISS, c.ISS+1
+		c.rcvNxt = h.seq + 1
+		p.ck.Go(c.timer)
+		c.sendSegLocked(flagSYN|flagACK, c.ISS, nil)
+	})
+	if !ok {
 		if h.flags&flagRST == 0 {
 			rst := marshalBlock(header{src: h.dst, dst: h.src, seq: h.ack,
 				ack: h.seq + 1, flags: flagRST | flagACK}, nil)
-			p.stack.SendBlock(ip.ProtoTCP, dst, src, rst)
+			p.tx.Send(dst, src, rst)
 		}
 		return
 	}
 	c.segment(h, data)
 }
 
-func (p *Proto) spawnLocked(l *Conn, src ip.Addr, h header) *Conn {
-	c := p.newConn()
-	c.localPort = h.dst
-	c.localAddr = l.localAddr
-	c.remoteAddr = src
-	c.remotePort = h.src
-	c.listener = l
-	c.state = SynRcvd
-	c.iss = p.rng.Uint32() & 0xffffff
-	c.sndUna, c.sndNxt = c.iss, c.iss+1
-	c.rcvNxt = h.seq + 1
-	p.conns[connKey{raddr: src, rport: h.src, lport: h.dst}] = c
-	p.ck.Go(c.timer)
-	c.sendSegLocked(flagSYN|flagACK, c.iss, nil)
-	return c
-}
-
-func (p *Proto) remove(c *Conn) {
-	p.mu.Lock()
-	key := connKey{raddr: c.remoteAddr, rport: c.remotePort, lport: c.localPort}
-	if p.conns[key] == c {
-		delete(p.conns, key)
-	}
-	if p.listeners[c.localPort] == c {
-		delete(p.listeners, c.localPort)
-	}
-	p.mu.Unlock()
-}
-
-// Conn is a TCP conversation.
+// Conn is a TCP conversation. Its Phase follows the TCP state machine;
+// ISS is the sequence number of its SYN.
 type Conn struct {
-	proto   *Proto
-	rstream *streams.Stream
-
-	mu   sync.Mutex
-	cond vclock.Cond
-
-	state      int
-	localAddr  ip.Addr
-	localPort  uint16
-	remoteAddr ip.Addr
-	remotePort uint16
+	rexmit.Conv
+	proto *Proto
 
 	// Send side: sndBuf holds bytes [sndUna, sndUna+len).
-	iss        uint32
 	sndUna     uint32
 	sndNxt     uint32
 	sndBuf     []byte
@@ -358,133 +241,32 @@ type Conn struct {
 	finRcvd bool
 	finAt   uint32
 
-	// RTT estimation.
-	srtt, mdev time.Duration
-	timing     bool
-	timedSeq   uint32
-	timedAt    time.Time
-
+	rtt          rexmit.RTT
 	lastProgress time.Time
 
-	listener *Conn
-	accepted *vclock.Mailbox[*Conn]
-
 	closed bool
-	err    error
-
-	// trace is the conversation's event ring, armed by writing
-	// "trace on" to the ctl file.
-	trace obs.Ring
 }
 
 var _ xport.Conn = (*Conn)(nil)
-var _ obs.Tracer = (*Conn)(nil)
-
-// Trace implements obs.Tracer; the netdev tree serves it as the
-// conversation's trace file.
-func (c *Conn) Trace() *obs.Ring { return &c.trace }
 
 // Connect implements xport.Conn: the active open.
 func (c *Conn) Connect(addr string) error {
-	a, port, err := ip.ParseHostPort(addr)
-	if err != nil || a.IsZero() || port == 0 {
-		return xport.ErrBadAddress
-	}
-	local, err := c.proto.stack.LocalAddrFor(a)
-	if err != nil {
-		return err
-	}
-	p := c.proto
-	p.mu.Lock()
-	//netvet:ignore lock-across-send fixed hierarchy: protocol before conversation, never reversed
-	c.mu.Lock()
-	if c.state != Closed {
-		c.mu.Unlock()
-		p.mu.Unlock()
-		return xport.ErrConnected
-	}
-	c.localAddr = local
-	c.localPort = p.allocEphemeralLocked()
-	c.remoteAddr, c.remotePort = a, port
-	c.iss = p.rng.Uint32() & 0xffffff
-	c.sndUna, c.sndNxt = c.iss, c.iss+1
-	c.state = SynSent
-	c.lastProgress = p.ck.Now()
-	p.conns[connKey{raddr: a, rport: port, lport: c.localPort}] = c
-	c.sendSegLocked(flagSYN, c.iss, nil)
-	c.mu.Unlock()
-	p.mu.Unlock()
-
-	p.ck.Go(c.timer)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.state == SynSent || c.state == SynRcvd {
-		c.cond.Wait()
-	}
-	if c.state != Established {
-		if c.err == nil {
-			c.err = vfs.ErrConnRef
-		}
-		c.trace.Emit(obs.EvError, 0, 0)
-		return c.err
-	}
-	c.trace.Emit(obs.EvConnect, 1, 0)
-	return nil
+	return c.proto.tab.Connect(c, addr, func() {
+		c.sndUna, c.sndNxt = c.ISS, c.ISS+1
+		c.Phase = SynSent
+		c.lastProgress = c.proto.ck.Now()
+		c.sendSegLocked(flagSYN, c.ISS, nil)
+		c.proto.ck.Go(c.timer)
+	})
 }
 
-// Announce implements xport.Conn. The address "*" announces all
-// services not explicitly announced (§5.2): port 0 holds the
-// catch-all listener.
-func (c *Conn) Announce(addr string) error {
-	var port uint16
-	if addr != "*" && addr != "*!*" {
-		var err error
-		_, port, err = ip.ParseHostPort(addr)
-		if err != nil {
-			return xport.ErrBadAddress
-		}
-		if port == 0 {
-			return xport.ErrBadAddress
-		}
-	}
-	p := c.proto
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	//netvet:ignore lock-across-send fixed hierarchy: protocol before conversation, never reversed
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != Closed {
-		return xport.ErrConnected
-	}
-	if _, taken := p.listeners[port]; taken {
-		return xport.ErrInUse
-	}
-	c.localPort = port
-	c.state = Listen
-	p.listeners[port] = c
-	c.trace.Emit(obs.EvAnnounce, int64(port), 0)
-	return nil
-}
-
-// Listen implements xport.Conn.
-func (c *Conn) Listen() (xport.Conn, error) {
-	c.mu.Lock()
-	if c.state != Listen {
-		c.mu.Unlock()
-		return nil, xport.ErrNotAnnounced
-	}
-	mb := c.accepted
-	c.mu.Unlock()
-	nc, ok := mb.Recv()
-	if !ok {
-		return nil, streams.ErrClosed
-	}
-	return nc, nil
-}
+// Announce implements xport.Conn; "*" announces every service not
+// explicitly announced (§5.2).
+func (c *Conn) Announce(addr string) error { return c.proto.tab.Announce(c, addr) }
 
 // rcvWndLocked is the window we advertise.
 func (c *Conn) rcvWndLocked() uint16 {
-	q := c.rstream.QueuedBytes()
+	q := c.Rstream.QueuedBytes()
 	if q >= BufSize {
 		return 0
 	}
@@ -497,19 +279,14 @@ func (c *Conn) rcvWndLocked() uint16 {
 
 // sendSegLocked transmits one segment with the current ack state.
 func (c *Conn) sendSegLocked(flags byte, seq uint32, data []byte) {
-	h := header{src: c.localPort, dst: c.remotePort, seq: seq,
+	h := header{src: c.Lport, dst: c.Rport, seq: seq,
 		ack: c.rcvNxt, flags: flags | flagACK, win: c.rcvWndLocked()}
-	if c.state == SynSent {
+	if c.Phase == SynSent {
 		h.flags = flags // no ACK before we have rcvNxt
 	}
-	// The copy into the pooled block happens here, synchronously, so
-	// data (which may alias sndBuf) is not touched by the goroutine.
-	pkt := marshalBlock(h, data)
-	src, dst := c.localAddr, c.remoteAddr
-	c.proto.ck.Go(func() {
-		c.proto.SegsSent.Add(1)
-		c.proto.stack.SendBlock(ip.ProtoTCP, src, dst, pkt)
-	})
+	// data may alias sndBuf: marshalBlock copies it into the pooled
+	// block here, under the lock, before the transmitter owns it.
+	c.proto.tx.Send(c.Laddr, c.Raddr, marshalBlock(h, data))
 }
 
 // Write implements xport.Conn: bytes enter the send buffer and are
@@ -519,16 +296,13 @@ func (c *Conn) sendSegLocked(flags byte, seq uint32, data []byte) {
 func (c *Conn) Write(p []byte) (int, error) {
 	total := 0
 	for total < len(p) {
-		c.mu.Lock()
-		for c.state == Established && len(c.sndBuf) >= BufSize {
-			c.cond.Wait()
+		c.Mu.Lock()
+		for c.Phase == Established && len(c.sndBuf) >= BufSize {
+			c.Cond.Wait()
 		}
-		if c.state != Established && c.state != CloseWait {
-			err := c.err
-			c.mu.Unlock()
-			if err == nil {
-				err = streams.ErrHungup
-			}
+		if c.Phase != Established && c.Phase != CloseWait {
+			err := c.ErrOr(streams.ErrHungup)
+			c.Mu.Unlock()
 			return total, err
 		}
 		n := len(p) - total
@@ -538,17 +312,14 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.sndBuf = append(c.sndBuf, p[total:total+n]...)
 		total += n
 		c.pumpLocked()
-		c.mu.Unlock()
+		c.Mu.Unlock()
 	}
 	return total, nil
 }
 
 // pumpLocked transmits as much buffered data as the window allows.
 func (c *Conn) pumpLocked() {
-	mss := c.proto.stack.MTUFor(c.remoteAddr) - HdrLen
-	if mss <= 0 {
-		mss = 512
-	}
+	mss := c.proto.tx.MSS(c.Raddr, HdrLen)
 	wnd := uint32(c.sndWnd)
 	if wnd > BufSize {
 		wnd = BufSize
@@ -578,99 +349,58 @@ func (c *Conn) pumpLocked() {
 		if inFlight+n > wnd {
 			n = wnd - inFlight
 		}
-		start := inFlight
-		data := c.sndBuf[start : start+n]
 		seq := c.sndNxt
-		if !c.timing {
-			c.timing = true
-			c.timedSeq = seq + n
-			c.timedAt = c.proto.ck.Now()
-		}
+		c.rtt.Time(seq+n, c.proto.ck.Now())
 		if c.sndUna == c.sndNxt {
 			c.oldestTx = c.proto.ck.Now()
 		}
 		c.sndNxt += n
-		c.sendSegLocked(0, seq, append([]byte(nil), data...))
+		c.sendSegLocked(0, seq, c.sndBuf[inFlight:inFlight+n])
 	}
-}
-
-// Read implements xport.Conn: a byte stream with no delimiters.
-func (c *Conn) Read(p []byte) (int, error) {
-	n, err := c.rstream.Read(p)
-	// Reading freed receive buffer: let the peer know if the window
-	// had closed.
-	return n, err
 }
 
 // segment processes one received segment.
 func (c *Conn) segment(h header, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed && c.state == Closed {
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
+	if c.closed && c.Phase == Closed {
 		return
 	}
 	c.lastProgress = c.proto.ck.Now()
 	if h.flags&flagRST != 0 {
-		c.err = vfs.ErrConnRef
-		c.dieLocked()
+		c.dieLocked(vfs.ErrConnRef)
 		return
 	}
-	switch c.state {
+	switch c.Phase {
 	case SynSent:
 		if h.flags&flagSYN != 0 {
 			c.rcvNxt = h.seq + 1
-			if h.flags&flagACK != 0 && h.ack == c.iss+1 {
+			if h.flags&flagACK != 0 && h.ack == c.ISS+1 {
 				c.sndUna = h.ack
-				c.state = Established
 				c.sndWnd = h.win
-				c.cond.Broadcast()
+				c.proto.tab.Establish(c, Established)
 				c.sendSegLocked(0, c.sndNxt, nil) // the final ack
 			}
 		}
 		return
 	case SynRcvd:
-		if h.flags&flagACK != 0 && h.ack == c.iss+1 {
+		if h.flags&flagACK != 0 && h.ack == c.ISS+1 {
 			c.sndUna = h.ack
-			c.state = Established
 			c.sndWnd = h.win
-			c.cond.Broadcast()
-			c.trace.Emit(obs.EvAccept, 0, 0)
-			if l := c.listener; l != nil {
-				c.listener = nil
-				// TrySend refuses on a full backlog or a closed
-				// listener, exactly the cases the RST below covers.
-				ok := l.accepted.TrySend(c)
-				if !ok {
-					// Listener gone or backlog full: refuse.
-					c.err = vfs.ErrConnRef
-					c.sendSegLocked(flagRST, c.sndNxt, nil)
-					c.dieLocked()
-					return
-				}
+			if !c.proto.tab.Establish(c, Established) {
+				// Listener gone or backlog full: refuse.
+				c.sendSegLocked(flagRST, c.sndNxt, nil)
+				c.dieLocked(vfs.ErrConnRef)
+				return
 			}
 		}
 		// fall through to data processing below
 	}
 	// ACK processing.
 	if h.flags&flagACK != 0 && h.ack > c.sndUna && h.ack <= c.sndNxt {
-		acked := h.ack - c.sndUna
-		if c.timing && h.ack >= c.timedSeq {
-			rtt := c.proto.ck.Since(c.timedAt)
-			c.proto.RTTHist.Observe(rtt)
-			if c.srtt == 0 {
-				c.srtt, c.mdev = rtt, rtt/2
-			} else {
-				diff := rtt - c.srtt
-				c.srtt += diff / 8
-				if diff < 0 {
-					diff = -diff
-				}
-				c.mdev += (diff - c.mdev) / 4
-			}
-			c.timing = false
-		}
+		c.rtt.Ack(h.ack, c.proto.ck.Now(), &c.proto.RTTHist)
 		// FIN consumes a sequence unit but no buffer byte.
-		bufAcked := acked
+		bufAcked := h.ack - c.sndUna
 		if c.finSent && h.ack > c.finSeq {
 			bufAcked--
 		}
@@ -680,16 +410,16 @@ func (c *Conn) segment(h header, data []byte) {
 		c.sndBuf = c.sndBuf[bufAcked:]
 		c.sndUna = h.ack
 		c.oldestTx = c.proto.ck.Now()
-		c.cond.Broadcast()
+		c.Cond.Broadcast()
 		// State transitions on FIN acknowledgement.
 		if c.finSent && h.ack > c.finSeq {
-			switch c.state {
+			switch c.Phase {
 			case FinWait1:
-				c.state = FinWait2
+				c.Phase = FinWait2
 			case Closing:
 				c.enterTimeWaitLocked()
 			case LastAck:
-				c.dieLocked()
+				c.dieLocked(nil)
 				return
 			}
 		}
@@ -726,7 +456,7 @@ func (c *Conn) dataLocked(seq uint32, data []byte) {
 		b := streams.NewBlock(data)
 		// TCP does not preserve delimiters: blocks are undelimited
 		// so reads merge across segment boundaries.
-		c.rstream.DeviceUp(b)
+		c.Rstream.DeviceUp(b)
 		for {
 			d, ok := c.ooo[c.rcvNxt]
 			if !ok {
@@ -734,20 +464,18 @@ func (c *Conn) dataLocked(seq uint32, data []byte) {
 			}
 			delete(c.ooo, c.rcvNxt)
 			c.rcvNxt += uint32(len(d))
-			c.rstream.DeviceUp(streams.NewBlock(d))
+			c.Rstream.DeviceUp(streams.NewBlock(d))
 		}
-		c.sendSegLocked(0, c.sndNxt, nil) // immediate ack
-		c.maybeFinLocked()
 	case seq > c.rcvNxt && seq < c.rcvNxt+BufSize:
 		if c.ooo == nil {
 			c.ooo = make(map[uint32][]byte)
 		}
 		c.ooo[seq] = append([]byte(nil), data...)
-		c.sendSegLocked(0, c.sndNxt, nil) // dup ack
-	default:
-		// Old or far-future data: re-ack.
-		c.sendSegLocked(0, c.sndNxt, nil)
 	}
+	// Every data segment is acked at once: new data, a gap (a
+	// duplicate ack), or old or far-future data (a re-ack).
+	c.sendSegLocked(0, c.sndNxt, nil)
+	c.maybeFinLocked()
 }
 
 // maybeFinLocked completes a received FIN once all data before it has
@@ -758,52 +486,37 @@ func (c *Conn) maybeFinLocked() {
 	}
 	c.rcvNxt++ // the FIN itself
 	c.sendSegLocked(0, c.sndNxt, nil)
-	c.rstream.HangupUp()
-	switch c.state {
+	c.Rstream.HangupUp()
+	switch c.Phase {
 	case Established:
-		c.state = CloseWait
+		c.Phase = CloseWait
 	case FinWait1:
-		c.state = Closing
+		c.Phase = Closing
 	case FinWait2:
 		c.enterTimeWaitLocked()
 	}
-	c.cond.Broadcast()
+	c.Cond.Broadcast()
 }
 
 func (c *Conn) enterTimeWaitLocked() {
-	c.state = TimeWait
-	c.cond.Broadcast()
+	c.Phase = TimeWait
+	c.Cond.Broadcast()
 	c.proto.ck.AfterFunc(timeWaitDur, func() {
-		c.mu.Lock()
-		c.dieLocked()
-		c.mu.Unlock()
+		c.Mu.Lock()
+		c.dieLocked(nil)
+		c.Mu.Unlock()
 	})
 }
 
-// dieLocked finalizes the connection.
-func (c *Conn) dieLocked() {
-	if c.state == Closed && c.closed {
+// dieLocked finalizes the connection with err (nil for an orderly
+// end). The table removal runs apart because it takes the table lock,
+// which ranks above c.Mu.
+func (c *Conn) dieLocked(err error) {
+	if c.Phase == Closed && c.closed {
 		return
 	}
-	c.state = Closed
-	c.cond.Broadcast()
-	c.trace.Emit(obs.EvHangup, 0, 0)
-	c.rstream.HangupUp()
-	c.proto.ck.Go(func() { c.proto.remove(c) })
-}
-
-func (c *Conn) rtoLocked() time.Duration {
-	if c.srtt == 0 {
-		return synRetry
-	}
-	rto := c.srtt + 4*c.mdev
-	if rto < minRTO {
-		rto = minRTO
-	}
-	if rto > maxRTO {
-		rto = maxRTO
-	}
-	return rto
+	c.DieLocked(err)
+	c.proto.ck.Go(func() { c.proto.tab.Remove(c) })
 }
 
 // timer is the connection's helper process: SYN retries, go-back-N
@@ -812,46 +525,39 @@ func (c *Conn) timer() {
 	ck := c.proto.ck
 	for {
 		ck.Sleep(tickInterval)
-		c.mu.Lock()
-		if c.state == Closed {
-			c.mu.Unlock()
+		c.Mu.Lock()
+		if c.Phase == Closed {
+			c.Mu.Unlock()
 			return
 		}
 		now := ck.Now()
 		if now.Sub(c.lastProgress) > deathTime {
-			c.err = vfs.ErrTimedOut
-			c.dieLocked()
-			c.mu.Unlock()
+			c.dieLocked(vfs.ErrTimedOut)
+			c.Mu.Unlock()
 			return
 		}
-		switch c.state {
-		case SynSent:
-			c.sendSegLocked(flagSYN, c.iss, nil)
-			c.mu.Unlock()
-			ck.Sleep(synRetry)
-			continue
-		case SynRcvd:
-			c.sendSegLocked(flagSYN|flagACK, c.iss, nil)
-			c.mu.Unlock()
+		if c.Phase == SynSent || c.Phase == SynRcvd {
+			// Retransmit our SYN; sendSegLocked adds the ACK once
+			// there is something to acknowledge (SYN|ACK from
+			// SynRcvd).
+			c.sendSegLocked(flagSYN, c.ISS, nil)
+			c.Mu.Unlock()
 			ck.Sleep(synRetry)
 			continue
 		}
 		// Retransmission: go-back-N from sndUna.
-		if c.sndUna != c.sndNxt && now.Sub(c.oldestTx) > c.rtoLocked() {
+		if c.sndUna != c.sndNxt && now.Sub(c.oldestTx) > c.rtt.RTO(minRTO, maxRTO, synRetry, 0) {
 			c.retransmitLocked()
 			c.oldestTx = now
 		}
-		c.mu.Unlock()
+		c.Mu.Unlock()
 	}
 }
 
 // retransmitLocked resends everything from sndUna (go-back-N).
 func (c *Conn) retransmitLocked() {
-	mss := c.proto.stack.MTUFor(c.remoteAddr) - HdrLen
-	if mss <= 0 {
-		mss = 512
-	}
-	c.timing = false
+	mss := c.proto.tx.MSS(c.Raddr, HdrLen)
+	c.rtt.Retransmitted()
 	seq := c.sndUna
 	remaining := c.sndBuf
 	inFlightData := c.sndNxt - c.sndUna
@@ -867,84 +573,65 @@ func (c *Conn) retransmitLocked() {
 			n = mss
 		}
 		c.proto.Retransmits.Add(1)
-		c.trace.Emit(obs.EvRetransmit, int64(seq), int64(n))
-		c.sendSegLocked(0, seq, append([]byte(nil), remaining[:n]...))
+		c.Ring.Emit(obs.EvRetransmit, int64(seq), int64(n))
+		c.sendSegLocked(0, seq, remaining[:n])
 		seq += uint32(n)
 		remaining = remaining[n:]
 	}
 	if c.finSent && c.sndUna <= c.finSeq {
 		c.proto.Retransmits.Add(1)
-		c.trace.Emit(obs.EvRetransmit, int64(c.finSeq), 0)
+		c.Ring.Emit(obs.EvRetransmit, int64(c.finSeq), 0)
 		c.sendSegLocked(flagFIN, c.finSeq, nil)
 	}
-}
-
-// LocalAddr implements xport.Conn.
-func (c *Conn) LocalAddr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ip.HostPort(c.localAddr, c.localPort)
-}
-
-// RemoteAddr implements xport.Conn.
-func (c *Conn) RemoteAddr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ip.HostPort(c.remoteAddr, c.remotePort)
 }
 
 // Status implements xport.Conn, in the style of the paper's transcript:
 // "tcp/2 1 Established connect".
 func (c *Conn) Status() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	return fmt.Sprintf("%s rtt %d ms srcv %d unacked %d",
-		stateNames[c.state], c.srtt.Milliseconds(),
-		c.rstream.QueuedBytes(), c.sndNxt-c.sndUna)
+		stateNames[c.Phase], c.rtt.Smoothed().Milliseconds(),
+		c.Rstream.QueuedBytes(), c.sndNxt-c.sndUna)
 }
 
 // State returns the symbolic state name (for tests).
-func (c *Conn) State() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return stateNames[c.state]
-}
+func (c *Conn) State() string { return c.PhaseName(stateNames) }
 
 // Close implements xport.Conn: orderly release with FIN.
 func (c *Conn) Close() error {
-	c.mu.Lock()
+	c.Mu.Lock()
 	if c.closed {
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	switch c.state {
+	switch c.Phase {
 	case Established:
-		c.state = FinWait1
+		c.Phase = FinWait1
 		c.queueFinLocked()
 	case CloseWait:
-		c.state = LastAck
+		c.Phase = LastAck
 		c.queueFinLocked()
 	case Listen:
-		c.state = Closed
-		c.accepted.Close()
-		c.mu.Unlock()
-		c.proto.remove(c)
-		c.rstream.Close()
+		c.UnannounceLocked()
+		c.Mu.Unlock()
+		c.proto.tab.Remove(c)
+		c.Rstream.Close()
 		return nil
 	case SynSent, SynRcvd:
 		c.sendSegLocked(flagRST, c.sndNxt, nil)
-		c.dieLocked()
+		c.dieLocked(nil)
 	default:
-		c.dieLocked()
+		c.dieLocked(nil)
 	}
-	c.mu.Unlock()
+	c.Mu.Unlock()
 	// Don't linger forever waiting for the FIN exchange.
 	c.proto.ck.AfterFunc(2*time.Second, func() {
-		c.mu.Lock()
-		c.dieLocked()
-		c.mu.Unlock()
-		c.rstream.Close()
+		c.Mu.Lock()
+		c.dieLocked(nil)
+		c.Mu.Unlock()
+		c.Rstream.Close()
 	})
 	return nil
 }

@@ -481,7 +481,7 @@ func run9P(ck vclock.Clock, s Scenario, rep *Report) {
 		defer srvDone.Done()
 		// Serve returns when the transport hangs up; the error is the
 		// hangup itself, not a violation.
-		ninep.ServeClock(ninep.NewDelimConn(aconn), func(uname, aname string) (vfs.Node, error) {
+		ninep.Serve(ninep.NewDelimConn(aconn), func(uname, aname string) (vfs.Node, error) {
 			return fs.Attach(aname)
 		}, ck)
 	})

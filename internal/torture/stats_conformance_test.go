@@ -360,7 +360,7 @@ func TestStatsConformanceMnt(t *testing.T) {
 		defer close(srvDone)
 		ninep.Serve(ninep.NewDelimConn(ac), func(uname, aname string) (vfs.Node, error) {
 			return fs.Attach(aname)
-		})
+		}, nil)
 	}()
 
 	before := mnt.StatsGroup().Snapshot()

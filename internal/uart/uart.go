@@ -35,14 +35,9 @@ type Line struct {
 	a, b *End
 }
 
-// NewLine creates a line; both ends start at DefaultBaud.
-func NewLine() *Line {
-	return NewLineClock(nil)
-}
-
-// NewLineClock is NewLine with the ends' pacing on an explicit clock;
-// nil means the real clock.
-func NewLineClock(ck vclock.Clock) *Line {
+// NewLine creates a line whose ends pace on ck (nil means the real
+// clock); both ends start at DefaultBaud.
+func NewLine(ck vclock.Clock) *Line {
 	l := &Line{}
 	l.a = newEnd(ck)
 	l.b = newEnd(ck)

@@ -16,7 +16,7 @@ import (
 
 func line(t *testing.T) (*End, *End) {
 	t.Helper()
-	l := NewLine()
+	l := NewLine(nil)
 	t.Cleanup(l.Close)
 	a, b := l.Ends()
 	// Fast lines for functional tests.
@@ -49,7 +49,7 @@ func TestBytesCrossTheLine(t *testing.T) {
 }
 
 func TestBaudPacing(t *testing.T) {
-	l := NewLine()
+	l := NewLine(nil)
 	defer l.Close()
 	a, b := l.Ends()
 	a.SetBaud(9600) // ~960 bytes/sec
@@ -199,7 +199,7 @@ func Test9PMountOverSerialLine(t *testing.T) {
 	rfs := ramfs.New("home")
 	rfs.WriteFile("mail/inbox", []byte("You have mail.\n"), 0664)
 	remote := ns.New("home", rfs.Root())
-	go exportfs.Serve(ninep.NewStreamConn(endRWC{b}), remote, "/")
+	go exportfs.Serve(ninep.NewStreamConn(endRWC{b}), remote, "/", nil)
 
 	local := ns.New("user", ramfs.New("user").Root())
 	cl, err := exportfs.Import(local, ninep.NewStreamConn(endRWC{a}), "", "/n/home", ns.MREPL)
@@ -227,7 +227,7 @@ func (w endRWC) Write(p []byte) (int, error) { return w.e.Write(p) }
 func (w endRWC) Close() error                { return w.e.Close() }
 
 func TestHangupOnClose(t *testing.T) {
-	l := NewLine()
+	l := NewLine(nil)
 	a, b := l.Ends()
 	a.SetBaud(1_000_000)
 	a.Write([]byte("bye"))

@@ -130,12 +130,9 @@ type sentBlock struct {
 	data  []byte
 }
 
-// New starts URP on a wire, on the real clock. stats may be nil.
-func New(wire Wire, stats *Stats) *Conn { return NewClock(wire, stats, nil) }
-
-// NewClock is New with an explicit clock for the protocol timers
-// (enquiry, retransmit, death); nil means the real clock.
-func NewClock(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
+// New starts URP on a wire. stats may be nil; ck drives the protocol
+// timers (enquiry, retransmit, death), nil meaning the real clock.
+func New(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 	if stats == nil {
 		stats = &Stats{}
 	}

@@ -28,7 +28,7 @@ func TestWindowSevenEdge(t *testing.T) {
 	v.Run(func() {
 		tx := medium.NewPipe(medium.Profile{Clock: v})
 		silent := medium.NewPipe(medium.Profile{Clock: v})
-		a := NewClock(wire{d: duplexOf(tx, silent)}, nil, v)
+		a := New(wire{d: duplexOf(tx, silent)}, nil, v)
 		defer a.Close()
 		a.Trace().Enable()
 
@@ -95,7 +95,7 @@ func TestEnquiryTimeout(t *testing.T) {
 		tx := medium.NewPipe(medium.Profile{Clock: v})
 		silent := medium.NewPipe(medium.Profile{Clock: v})
 		stats := &Stats{}
-		a := NewClock(wire{d: duplexOf(tx, silent)}, stats, v)
+		a := New(wire{d: duplexOf(tx, silent)}, stats, v)
 		defer a.Close()
 		a.Trace().Enable()
 

@@ -20,8 +20,8 @@ func pair(t *testing.T, p medium.Profile) (*Conn, *Conn, *Stats) {
 	t.Helper()
 	a, b := medium.NewDuplex(p)
 	stats := &Stats{}
-	ca := New(wire{a}, stats)
-	cb := New(wire{b}, stats)
+	ca := New(wire{a}, stats, nil)
+	cb := New(wire{b}, stats, nil)
 	t.Cleanup(func() { ca.Close(); cb.Close() })
 	return ca, cb, stats
 }
@@ -53,7 +53,7 @@ func TestWindowBlocksSender(t *testing.T) {
 	v.Run(func() {
 		tx := medium.NewPipe(medium.Profile{Clock: v})
 		silent := medium.NewPipe(medium.Profile{Clock: v}) // acks never come back
-		a := NewClock(wire{d: duplexOf(tx, silent)}, nil, v)
+		a := New(wire{d: duplexOf(tx, silent)}, nil, v)
 		defer a.Close()
 		done := make(chan int, 1)
 		v.Go(func() {

@@ -1,10 +1,11 @@
 #!/bin/sh
-# bench.sh — run the repo's headline benchmarks and record them as
-# BENCH_PR10.json: one object per benchmark with name, ns/op, B/op and
-# allocs/op, so a future PR can diff performance against this one
-# mechanically. Usage:
+# bench.sh — run the repo's headline benchmarks and record them as the
+# next free BENCH_PR<n>.json (one past the highest n recorded, so an
+# existing record is never overwritten): one object per benchmark with
+# name, ns/op, B/op and allocs/op, so a future PR can diff performance
+# against this one mechanically. Usage:
 #
-#   scripts/bench.sh              # full run (benchtime 2s), writes BENCH_PR10.json
+#   scripts/bench.sh              # full run (benchtime 2s), writes BENCH_PR<n>.json
 #   scripts/bench.sh -smoke       # quick pass (benchtime 100ms), writes nothing,
 #                                 # fails only if a benchmark fails to run
 set -eu
@@ -12,7 +13,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 benchtime=2s
-out=BENCH_PR10.json
+last=$(ls BENCH_PR*.json 2>/dev/null | sed -n 's/^BENCH_PR\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1)
+out=BENCH_PR$(( ${last:-0} + 1 )).json
 smoke=0
 if [ "${1:-}" = "-smoke" ]; then
     benchtime=100ms

@@ -58,66 +58,40 @@ echo "== stats conformance: /net files vs wire ground truth"
 # the observability layer must never disagree with the wire.
 go test -run '^TestStatsConformance' -count=1 ./internal/torture
 
-echo "== obs coverage floor (>= 80%)"
-cov=$(go test -cover ./internal/obs | awk '{ for (i = 1; i <= NF; i++) if ($i == "coverage:") print $(i+1) }' | tr -d '%')
-if [ -z "$cov" ] || [ "$(printf '%.0f' "$cov")" -lt 80 ]; then
-    echo "internal/obs coverage ${cov:-unknown}% < 80%" >&2
-    exit 1
-fi
-echo "internal/obs coverage ${cov}%"
+# floor <pkg> <pct>: fail unless the package's statement coverage is
+# at least pct percent.
+floor() {
+    echo "== $1 coverage floor (>= $2%)"
+    cov=$(go test -cover "./$1" | awk '{ for (i = 1; i <= NF; i++) if ($i == "coverage:") print $(i+1) }' | tr -d '%')
+    if [ -z "$cov" ] || [ "$(printf '%.0f' "$cov")" -lt "$2" ]; then
+        echo "$1 coverage ${cov:-unknown}% < $2%" >&2
+        exit 1
+    fi
+    echo "$1 coverage ${cov}%"
+}
 
-echo "== analysis coverage floor (>= 80%)"
+floor internal/obs 80
 # The analyzer is itself load-bearing (check.sh trusts its verdicts),
 # so its CFG builder, solver, and checks are held to the same floor.
-cov=$(go test -cover ./internal/analysis | awk '{ for (i = 1; i <= NF; i++) if ($i == "coverage:") print $(i+1) }' | tr -d '%')
-if [ -z "$cov" ] || [ "$(printf '%.0f' "$cov")" -lt 80 ]; then
-    echo "internal/analysis coverage ${cov:-unknown}% < 80%" >&2
-    exit 1
-fi
-echo "internal/analysis coverage ${cov}%"
-
-echo "== exportfs coverage floor (>= 80%)"
+floor internal/analysis 80
 # The multi-tenant gateway is the serving stack's front door; its
 # attach/serve/stats plumbing stays above the same floor.
-cov=$(go test -cover ./internal/exportfs | awk '{ for (i = 1; i <= NF; i++) if ($i == "coverage:") print $(i+1) }' | tr -d '%')
-if [ -z "$cov" ] || [ "$(printf '%.0f' "$cov")" -lt 80 ]; then
-    echo "internal/exportfs coverage ${cov:-unknown}% < 80%" >&2
-    exit 1
-fi
-echo "internal/exportfs coverage ${cov}%"
-
-echo "== ccache coverage floor (>= 80%)"
+floor internal/exportfs 80
 # The shared block cache sits on the gateway's hot path and hands out
 # refcounted memory; every branch of its invalidation and refcount
 # logic is load-bearing.
-cov=$(go test -cover ./internal/ccache | awk '{ for (i = 1; i <= NF; i++) if ($i == "coverage:") print $(i+1) }' | tr -d '%')
-if [ -z "$cov" ] || [ "$(printf '%.0f' "$cov")" -lt 80 ]; then
-    echo "internal/ccache coverage ${cov:-unknown}% < 80%" >&2
-    exit 1
-fi
-echo "internal/ccache coverage ${cov}%"
-
-echo "== streams coverage floor (>= 85%)"
+floor internal/ccache 80
 # The line disciplines rewrite every byte a dressed conversation
 # carries; the stream plumbing, both modules, and their wire parsers
 # hold the higher floor.
-cov=$(go test -cover ./internal/streams | awk '{ for (i = 1; i <= NF; i++) if ($i == "coverage:") print $(i+1) }' | tr -d '%')
-if [ -z "$cov" ] || [ "$(printf '%.0f' "$cov")" -lt 85 ]; then
-    echo "internal/streams coverage ${cov:-unknown}% < 85%" >&2
-    exit 1
-fi
-echo "internal/streams coverage ${cov}%"
-
-echo "== cs coverage floor (>= 85%)"
+floor internal/streams 85
 # The connection server answers every symbolic dial in the system; its
 # sharded cache, singleflight, and stats plumbing carry a higher floor
 # than the rest because a silent miscount there skews every experiment.
-cov=$(go test -cover ./internal/cs | awk '{ for (i = 1; i <= NF; i++) if ($i == "coverage:") print $(i+1) }' | tr -d '%')
-if [ -z "$cov" ] || [ "$(printf '%.0f' "$cov")" -lt 85 ]; then
-    echo "internal/cs coverage ${cov:-unknown}% < 85%" >&2
-    exit 1
-fi
-echo "internal/cs coverage ${cov}%"
+floor internal/cs 85
+# The transport core carries every IL and TCP conversation: its table,
+# transmitter, and round-trip estimator hold the higher floor.
+floor internal/rexmit 85
 
 echo "== gateway storm smoke (60 tenants on the virtual clock)"
 # A fixed-seed run of the multi-tenant import storm: one exporter,
@@ -146,6 +120,7 @@ echo "== fuzz smoke (10s per parser)"
 # -fuzzminimizetime 5x: a crasher found during a smoke should minimize
 # in a handful of runs, not stall the gate for the default 60s.
 go test -run '^$' -fuzz '^FuzzParseHeader$' -fuzztime 10s -fuzzminimizetime 5x ./internal/il
+go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s -fuzzminimizetime 5x ./internal/tcp
 go test -run '^$' -fuzz '^Fuzz9PMessage$' -fuzztime 10s -fuzzminimizetime 5x ./internal/ninep
 go test -run '^$' -fuzz '^FuzzCompressFrame$' -fuzztime 10s -fuzzminimizetime 5x ./internal/streams
 go test -run '^$' -fuzz '^FuzzBatchReassembly$' -fuzztime 10s -fuzzminimizetime 5x ./internal/streams
