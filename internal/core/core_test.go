@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dialer"
+	"repro/internal/ether"
 	"repro/internal/mnt"
 	"repro/internal/ns"
 	"repro/internal/obs"
@@ -279,6 +282,73 @@ func TestMount9fsFromFileServer(t *testing.T) {
 	b, err := helix.NS.ReadFile("/n/bootes/lib/motd")
 	if err != nil || string(b) != "plan 9 from bell labs\n" {
 		t.Fatalf("read over 9fs/IL: %q, %v", b, err)
+	}
+}
+
+// TestEtherBystandersSeeOnlyBroadcasts checks the address filter on
+// the office Ethernet: while helix reads a megabyte from bootes over
+// 9P/IL, the stations not in the conversation take only broadcast
+// frames, and no station's input ring overflows. A probe station that
+// nothing addresses counts the broadcasts the bystanders must match.
+func TestEtherBystandersSeeOnlyBroadcasts(t *testing.T) {
+	w := paperWorld(t)
+	bootes := w.Machine("bootes")
+	helix := w.Machine("helix")
+	big := make([]byte, 1<<20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	if err := bootes.Root.WriteFile("lib/big", big, 0664); err != nil {
+		t.Fatal(err)
+	}
+
+	etherStats := func(m *Machine) map[string]int64 {
+		t.Helper()
+		b, err := m.NS.ReadFile("/net/ether0/1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs.ParseStats(string(b))
+	}
+	bystanders := []*Machine{w.Machine("a-root"), w.Machine("p9auth")}
+	base := map[*Machine]int64{}
+	for _, m := range bystanders {
+		base[m] = etherStats(m)["in"]
+	}
+	probe, err := w.Ether("ether0").NewInterface("probe").OpenConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	var broadcasts atomic.Int64
+	probe.SetType(ether.TypeAll)
+	probe.SetDeliver(func([]byte) { broadcasts.Add(1) })
+
+	if _, err := helix.Import("il!bootes!9fs", "/", "/n/bootes", ns.MREPL); err != nil {
+		t.Fatal(err)
+	}
+	got, err := helix.NS.ReadFile("/n/bootes/lib/big")
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("1 MiB read over 9fs/IL: %d bytes, %v", len(got), err)
+	}
+
+	for _, m := range bystanders {
+		in := func() int64 { return etherStats(m)["in"] - base[m] }
+		deadline := time.Now().Add(2 * time.Second)
+		for in() != broadcasts.Load() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if in() != broadcasts.Load() {
+			t.Errorf("%s took %d frames during the read, but only %d were broadcast", m.Name, in(), broadcasts.Load())
+		}
+	}
+	for _, m := range w.Machines() {
+		if _, err := m.NS.Stat("/net/ether0"); err != nil {
+			continue
+		}
+		if o := etherStats(m)["overflows"]; o != 0 {
+			t.Errorf("%s: ether0 overflowed %d times", m.Name, o)
+		}
 	}
 }
 

@@ -79,9 +79,10 @@ type Profile struct {
 	Seed int64
 	// Impair extends Loss into the full fault model (duplication,
 	// reordering, corruption, jitter, bursty loss, partitions), all
-	// replayable from Seed. See medium.Impairment. Corrupted frames
-	// fail the FCS at every receiving interface, so corruption
-	// surfaces as loss plus a crc errs count — as on real hardware.
+	// replayable from Seed. See medium.Impairment. A corrupted frame
+	// still reaches the station it was addressed to and fails the FCS
+	// there, so corruption surfaces as loss plus a crc errs count — as
+	// on real hardware.
 	Impair medium.Impairment
 	// Clock schedules pacing, propagation, and jitter; nil means the
 	// real clock. A vclock.Virtual turns the segment into a
@@ -97,7 +98,8 @@ func (p Profile) mtu() int {
 }
 
 // Segment is a broadcast domain: every frame transmitted by one
-// interface is delivered to all others (medium effects permitting).
+// interface is on the wire for all others, and each station's address
+// filter decides whether to take it (medium effects permitting).
 type Segment struct {
 	name    string
 	profile Profile
@@ -105,16 +107,26 @@ type Segment struct {
 	im      *medium.Impairer // nil on an unimpaired, lossless segment
 	ideal   bool             // ideal medium: no pacing, no impairment, FCS elided
 
-	mu     sync.Mutex
-	ifaces []*Interface
-	closed bool
+	mu     sync.Mutex                   // serializes station attach
+	ifaces atomic.Pointer[[]*Interface] // copy-on-write station list, read per frame
+	closed atomic.Bool
 
 	txq *vclock.Mailbox[txFrame]
 }
 
 type txFrame struct {
 	from  *Interface
+	dst   Addr // as the sender wrote it, before any wire damage
 	frame []byte
+}
+
+// stations returns the current station snapshot; callers must not
+// modify it.
+func (seg *Segment) stations() []*Interface {
+	if p := seg.ifaces.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // NewSegment creates a segment with the given medium profile.
@@ -168,16 +180,11 @@ func (seg *Segment) MTU() int { return seg.profile.mtu() }
 
 // Close shuts the medium down; interfaces stop receiving.
 func (seg *Segment) Close() {
-	seg.mu.Lock()
-	if seg.closed {
-		seg.mu.Unlock()
+	if seg.closed.Swap(true) {
 		return
 	}
-	seg.closed = true
-	ifaces := seg.ifaces
-	seg.mu.Unlock()
 	seg.txq.Close()
-	for _, ifc := range ifaces {
+	for _, ifc := range seg.stations() {
 		ifc.close()
 	}
 }
@@ -201,11 +208,8 @@ func (seg *Segment) transmitter() {
 				return
 			}
 			seg.ck.SleepUntil(tf.at)
-			seg.mu.Lock()
-			ifaces := append([]*Interface(nil), seg.ifaces...)
-			seg.mu.Unlock()
-			for _, ifc := range ifaces {
-				if ifc != tf.tx.from {
+			for _, ifc := range seg.stations() {
+				if ifc != tf.tx.from && ifc.accepts(tf.tx.dst) {
 					// Each receiver gets its own wrapper over the
 					// shared (read-only) detached frame.
 					ifc.deliver(block.FromBytes(tf.tx.frame))
@@ -236,8 +240,11 @@ func (seg *Segment) transmitter() {
 			// scheduled at latency plus its jitter. The single
 			// transmitter goroutine defines wire-position order,
 			// so a fixed seed replays the identical schedule.
+			// Every copy keeps the destination the sender wrote,
+			// so a damaged copy still reaches its addressee and
+			// dies at the FCS there.
 			for _, e := range seg.im.Apply(tx.frame) {
-				if sched.Send(timedFrame{tx: txFrame{from: tx.from, frame: e.Data}, at: seg.ck.Now().Add(p.Latency + e.Delay)}) != nil {
+				if sched.Send(timedFrame{tx: txFrame{from: tx.from, dst: tx.dst, frame: e.Data}, at: seg.ck.Now().Add(p.Latency + e.Delay)}) != nil {
 					return
 				}
 			}
@@ -258,37 +265,37 @@ func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
 		b.Free()
 		return fmt.Errorf("ether: packet exceeds MTU (%d > %d)", n, seg.profile.mtu())
 	}
+	var dst Addr
+	copy(dst[:], b.Bytes())
 	if seg.ideal {
 		// Synchronous fast path for an ideal medium: no pacing, no
 		// reordering possible, no FCS (nothing can damage the frame).
-		// The one block fans out to every receiver by reference
-		// count — each interface reads it and releases its own
-		// reference; nobody copies, nobody mutates.
-		seg.mu.Lock()
-		if seg.closed {
-			seg.mu.Unlock()
+		// The one block fans out to every accepting receiver by
+		// reference count — each interface reads it and releases its
+		// own reference; nobody copies, nobody mutates.
+		if seg.closed.Load() {
 			b.Free()
 			return vfs.ErrShutdown
 		}
-		ifaces := append([]*Interface(nil), seg.ifaces...)
-		seg.mu.Unlock()
-		n := 0
-		for _, ifc := range ifaces {
-			if ifc != from {
-				n++
+		// The receivers are fixed before the references are taken, so
+		// a filter that changes mid-fan-out cannot unbalance the
+		// count; the array keeps a typical segment off the heap.
+		var buf [8]*Interface
+		to := buf[:0]
+		for _, ifc := range seg.stations() {
+			if ifc != from && ifc.accepts(dst) {
+				to = append(to, ifc)
 			}
 		}
-		if n == 0 {
+		if len(to) == 0 {
 			b.Free()
 			return nil
 		}
-		for i := 1; i < n; i++ {
+		for range to[1:] {
 			b.Ref()
 		}
-		for _, ifc := range ifaces {
-			if ifc != from {
-				ifc.deliver(b)
-			}
+		for _, ifc := range to {
+			ifc.deliver(b)
 		}
 		return nil
 	}
@@ -300,7 +307,7 @@ func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
 	crc := crc32.ChecksumIEEE(b.Bytes())
 	binary.BigEndian.PutUint32(b.Extend(fcsLen), crc)
 	frame := b.Detach()
-	if seg.txq.Send(txFrame{from: from, frame: frame}) != nil {
+	if seg.txq.Send(txFrame{from: from, dst: dst, frame: frame}) != nil {
 		return vfs.ErrShutdown
 	}
 	return nil
@@ -308,7 +315,9 @@ func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
 
 var macCounter atomic.Uint32
 
-// Interface is one station on a segment: the LANCE analogue. Received
+// Interface is one station on a segment: the LANCE analogue. Its
+// address filter takes only frames sent to its own address or to
+// broadcast, unless a conversation has made it promiscuous. Accepted
 // frames are demultiplexed among conversations by packet type; every
 // matching conversation receives a copy.
 type Interface struct {
@@ -319,6 +328,7 @@ type Interface struct {
 	mu     sync.Mutex
 	conns  [MaxConns + 1]*Conn     // index 1..MaxConns, as in the file tree
 	active atomic.Pointer[[]*Conn] // snapshot of allocated conns, for the lock-free demux
+	prom   atomic.Int32            // conversations in promiscuous mode
 
 	in *vclock.Mailbox[*block.Block]
 
@@ -345,7 +355,11 @@ func (seg *Segment) NewInterface(name string) *Interface {
 	}
 	seg.ck.Go(ifc.reader)
 	seg.mu.Lock()
-	seg.ifaces = append(seg.ifaces, ifc)
+	// Copy on write: the capped slice forces append to copy, so a
+	// fan-out still ranging over the old snapshot never sees it change.
+	old := seg.stations()
+	lst := append(old[:len(old):len(old)], ifc)
+	seg.ifaces.Store(&lst)
 	seg.mu.Unlock()
 	return ifc
 }
@@ -361,6 +375,14 @@ func (ifc *Interface) Segment() *Segment { return ifc.seg }
 
 // MTU returns the medium MTU.
 func (ifc *Interface) MTU() int { return ifc.seg.MTU() }
+
+// accepts is the hardware address filter: the station takes a frame
+// sent to its own address or to broadcast, and every frame while any
+// of its conversations is promiscuous. Frames it refuses never reach
+// its input ring, so they cost it neither a wakeup nor an overflow.
+func (ifc *Interface) accepts(dst Addr) bool {
+	return dst == ifc.addr || dst == Broadcast || ifc.prom.Load() > 0
+}
 
 func (ifc *Interface) close() {
 	// Undelivered frames go back to the block pool rather than to a
@@ -551,7 +573,7 @@ func (ifc *Interface) OpenConn() (*Conn, error) {
 		if free {
 			c.inuse = 1
 			c.etype = 0
-			c.prom = false
+			c.setPromLocked(false)
 			c.deliver = nil
 			c.stream = c.newStreamLocked()
 			c.refreshRx()
@@ -594,12 +616,29 @@ func (c *Conn) Type() int {
 	return c.etype
 }
 
-// SetPromiscuous turns promiscuous reception on ("promiscuous").
+// SetPromiscuous turns promiscuous reception on ("promiscuous") or
+// off. The interface's address filter opens while any conversation is
+// promiscuous.
 func (c *Conn) SetPromiscuous(on bool) {
 	c.mu.Lock()
-	c.prom = on
+	c.setPromLocked(on)
 	c.refreshRx()
 	c.mu.Unlock()
+}
+
+// setPromLocked records the mode and keeps the interface's count of
+// promiscuous conversations in step, counting only real transitions.
+// Callers hold c.mu.
+func (c *Conn) setPromLocked(on bool) {
+	if c.prom == on {
+		return
+	}
+	c.prom = on
+	if on {
+		c.ifc.prom.Add(1)
+	} else {
+		c.ifc.prom.Add(-1)
+	}
 }
 
 // SetDeliver installs a kernel delivery hook: received frames go to fn
@@ -695,7 +734,7 @@ func (c *Conn) Close() error {
 	s := c.stream
 	c.stream = nil
 	c.etype = 0
-	c.prom = false
+	c.setPromLocked(false)
 	c.deliver = nil
 	c.refreshRx()
 	c.mu.Unlock()

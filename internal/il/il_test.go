@@ -488,8 +488,22 @@ func TestCorruptionOnTheWireIsDetected(t *testing.T) {
 	t.Cleanup(func() { inj.Close() })
 	inj.SetType(ether.TypeIP)
 	var replays atomic.Int64
+	// stopped switches the repeater off. The hook runs on the tap
+	// interface's reader goroutine, and a frame it already holds can
+	// outlive any change to the conversation, so the switch and the
+	// replay share a lock: once stop returns, no replay is in flight
+	// and none can start.
+	var mu sync.Mutex
+	stopped := false
+	stop := func() {
+		mu.Lock()
+		stopped = true
+		mu.Unlock()
+	}
 	tap.SetDeliver(func(frame []byte) {
-		if len(frame) < ether.HdrLen+ip.HdrLen+HdrLen {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped || len(frame) < ether.HdrLen+ip.HdrLen+HdrLen {
 			return
 		}
 		if et := int(frame[12])<<8 | int(frame[13]); et != ether.TypeIP {
@@ -533,13 +547,20 @@ func TestCorruptionOnTheWireIsDetected(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("delivered stream diverged under corruption (%d/%d bytes)", len(got), len(payload))
 	}
+	// The repeater drains its own input ring and can lag the whole
+	// transfer; give it time to replay, then stop it, so that the
+	// replay count is final before the accounting starts.
+	deadline := time.Now().Add(2 * time.Second)
+	for replays.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	stop()
 	if replays.Load() == 0 {
 		t.Fatal("repeater never replayed a packet; test exercised nothing")
 	}
-	// Replays of the final acks may still be in flight; wait for the
-	// wire to quiesce before accounting.
+	// Replays already on the wire still have to be rejected.
 	rejects := func() int64 { return p1.ChecksumErrs.Load() + p2.ChecksumErrs.Load() }
-	deadline := time.Now().Add(2 * time.Second)
+	deadline = time.Now().Add(2 * time.Second)
 	for rejects() != replays.Load() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -116,26 +117,36 @@ var (
 )
 
 // Checksum computes the Internet checksum of p. Per RFC 1071, the
-// ones-complement sum is associative, so 32-bit words are accumulated
-// eight bytes at a time into a 64-bit register and the carries folded
-// at the end — the classic deferred-carry form, ~6x the byte-pair
-// loop on the 8K payloads IL carries for 9P.
+// ones-complement sum may be accumulated in any multiple of 16 bits
+// and folded at the end, so p is summed as big-endian 64-bit words,
+// 32 bytes per iteration, with the carry of each add wrapped back in
+// (end-around carry), and the 64-bit sum folded to 16 bits. The tail
+// is zero-padded to a whole word, which puts an odd final byte in the
+// high half of its 16-bit word, as RFC 1071 requires.
 func Checksum(p []byte) uint16 {
-	var sum uint64
+	var sum, c uint64
+	for len(p) >= 32 {
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p[8:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p[16:]), c)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p[24:]), c)
+		p = p[32:]
+	}
 	for len(p) >= 8 {
-		sum += uint64(binary.BigEndian.Uint32(p))
-		sum += uint64(binary.BigEndian.Uint32(p[4:]))
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(p), c)
 		p = p[8:]
 	}
-	for len(p) >= 2 {
-		sum += uint64(binary.BigEndian.Uint16(p))
-		p = p[2:]
+	if len(p) > 0 {
+		var tail [8]byte
+		copy(tail[:], p)
+		sum, c = bits.Add64(sum, binary.BigEndian.Uint64(tail[:]), c)
 	}
-	if len(p) == 1 {
-		sum += uint64(p[0]) << 8
-	}
+	// Wrap the last carry in; if that carries too, the sum was all
+	// ones and is now zero, so adding the second carry cannot overflow.
+	sum, c = bits.Add64(sum, c, 0)
+	sum += c
 	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
+		sum = sum>>16 + sum&0xffff
 	}
 	return ^uint16(sum)
 }

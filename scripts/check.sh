@@ -92,6 +92,9 @@ floor internal/cs 85
 # The transport core carries every IL and TCP conversation: its table,
 # transmitter, and round-trip estimator hold the higher floor.
 floor internal/rexmit 85
+# The Ethernet decides which stations see every frame on the LAN: its
+# address filter, fan-out and FCS paths stay covered.
+floor internal/ether 80
 
 echo "== gateway storm smoke (60 tenants on the virtual clock)"
 # A fixed-seed run of the multi-tenant import storm: one exporter,
@@ -119,6 +122,8 @@ sh scripts/bench.sh -smoke
 echo "== fuzz smoke (10s per parser)"
 # -fuzzminimizetime 5x: a crasher found during a smoke should minimize
 # in a handful of runs, not stall the gate for the default 60s.
+go test -run '^$' -fuzz '^FuzzIPHeader$' -fuzztime 10s -fuzzminimizetime 5x ./internal/ip
+go test -run '^$' -fuzz '^FuzzChecksum$' -fuzztime 10s -fuzzminimizetime 5x ./internal/ip
 go test -run '^$' -fuzz '^FuzzParseHeader$' -fuzztime 10s -fuzzminimizetime 5x ./internal/il
 go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s -fuzzminimizetime 5x ./internal/tcp
 go test -run '^$' -fuzz '^Fuzz9PMessage$' -fuzztime 10s -fuzzminimizetime 5x ./internal/ninep
