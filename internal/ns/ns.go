@@ -12,6 +12,7 @@
 package ns
 
 import (
+	"io"
 	"path"
 	"strings"
 	"sync"
@@ -352,7 +353,8 @@ func (ns *Namespace) OpenOrCreate(name string, perm uint32, mode int) (*FD, erro
 	return ns.Create(name, perm, mode)
 }
 
-// ReadFile reads the whole file at name.
+// ReadFile reads the whole file at name. A read that fails before end
+// of file returns the bytes read so far with the error.
 func (ns *Namespace) ReadFile(name string) ([]byte, error) {
 	fd, err := ns.Open(name, vfs.OREAD)
 	if err != nil {
@@ -364,8 +366,11 @@ func (ns *Namespace) ReadFile(name string) ([]byte, error) {
 	for {
 		n, err := fd.Read(buf)
 		out = append(out, buf[:n]...)
-		if err != nil || n == 0 {
-			return out, nil
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return out, err
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ns
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -420,5 +421,46 @@ func TestCleanQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// hangupNode is a file whose reads fail after the first chunk, as a
+// connection's data file does when the far end hangs up mid-transfer.
+type hangupNode struct{}
+
+type hangupHandle struct{}
+
+var errHangup = errors.New("hangup")
+
+func (hangupNode) Stat() (vfs.Dir, error)        { return vfs.Dir{Name: "data", Mode: 0444}, nil }
+func (hangupNode) Walk(string) (vfs.Node, error) { return nil, vfs.ErrNotExist }
+func (hangupNode) Open(int) (vfs.Handle, error)  { return hangupHandle{}, nil }
+
+func (hangupHandle) Read(p []byte, off int64) (int, error) {
+	if off > 0 {
+		return 0, errHangup
+	}
+	return copy(p, "first chunk"), nil
+}
+func (hangupHandle) Write([]byte, int64) (int, error) { return 0, vfs.ErrPerm }
+func (hangupHandle) Close() error                     { return nil }
+
+func TestReadFileReportsMidFileError(t *testing.T) {
+	nsp, fs := newNS(t)
+	fs.WriteFile("data", nil, 0444)
+	if err := nsp.MountNode(hangupNode{}, "/data", MREPL); err != nil {
+		t.Fatal(err)
+	}
+	b, err := nsp.ReadFile("/data")
+	if !errors.Is(err, errHangup) {
+		t.Errorf("ReadFile error = %v, want the hangup", err)
+	}
+	if string(b) != "first chunk" {
+		t.Errorf("ReadFile bytes = %q, want the chunk read before the error", b)
+	}
+	// A clean end of file is still no error.
+	fs.WriteFile("whole", []byte("all of it"), 0664)
+	if b, err := nsp.ReadFile("/whole"); err != nil || string(b) != "all of it" {
+		t.Errorf("ReadFile at EOF = %q, %v", b, err)
 	}
 }

@@ -52,11 +52,11 @@ func (c *Cond) Wait() {
 	v.mu.Lock()
 	g := v.curLocked("Cond.Wait")
 	c.waiters = append(c.waiters, g)
-	v.running = nil
+	next, end := v.pickLocked()
+	v.running = next
 	v.mu.Unlock()
 	c.l.Unlock()
-	v.parked <- struct{}{}
-	<-g.wake
+	v.handoff(g, next, end)
 	c.l.Lock()
 }
 
@@ -71,16 +71,18 @@ func (c *Cond) Signal() {
 		return
 	}
 	g := c.waiters[0]
-	copy(c.waiters, c.waiters[1:])
-	c.waiters = c.waiters[:len(c.waiters)-1]
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = nil
+	c.waiters = c.waiters[:n]
 	v := c.v
 	v.mu.Lock()
-	v.runnableLocked(g)
+	v.readyLocked(g)
 	v.mu.Unlock()
 }
 
-// Broadcast wakes all waiters in FIFO order. L must be held under a
-// virtual clock.
+// Broadcast wakes all waiters in FIFO order, keeping the waiter
+// list's array for the next round. L must be held under a virtual
+// clock.
 func (c *Cond) Broadcast() {
 	if c.v == nil {
 		c.sc.Broadcast()
@@ -89,10 +91,10 @@ func (c *Cond) Broadcast() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	ws := c.waiters
-	c.waiters = nil
 	v := c.v
 	v.mu.Lock()
-	v.runnableLocked(ws...)
+	v.readyLocked(c.waiters...)
 	v.mu.Unlock()
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }

@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -15,20 +14,26 @@ var Epoch = time.Date(1993, time.January, 25, 0, 0, 0, 0, time.UTC)
 // Virtual is the discrete-event clock: a cooperative token scheduler
 // over the goroutines registered with Go, advancing simulated time to
 // the next pending timer whenever all of them are parked.
+//
+// There is no scheduler goroutine. The goroutine that gives up the
+// token picks its successor itself, under mu, and wakes it directly;
+// Run only waits for the end of the simulation.
 type Virtual struct {
-	mu       sync.Mutex
-	now      int64 // ns since Epoch
-	seq      uint64
-	runq     []*gor
-	events   eventHeap
-	running  *gor
-	live     int
-	rootDone bool
-	started  bool
+	mu         sync.Mutex
+	now        int64 // ns since Epoch
+	seq        uint64
+	runq       []*gor // FIFO; runq[runqHead:] are waiting
+	runqHead   int
+	events     []event // binary min-heap by (at, seq)
+	running    *gor
+	live       int
+	rootDone   bool
+	started    bool
+	drainUntil int64 // end of the post-root drain; -1 until the root returns
 
-	// parked is the rendezvous with the scheduler loop: the running
-	// goroutine sends exactly one token when it parks or exits.
-	parked chan struct{}
+	// done carries the end of the simulation to Run: "" when it wound
+	// down, the deadlock report when it could not.
+	done chan string
 }
 
 // gor is one machine goroutine's parking spot.
@@ -42,51 +47,89 @@ type gor struct {
 // chain run to quiescence before the next event, so same-instant
 // timers cannot race each other.
 type event struct {
-	at      int64
-	seq     uint64
-	g       *gor
-	fn      func()
+	at  int64
+	seq uint64
+	g   *gor        // the sleeper, or nil for an AfterFunc
+	t   *afterTimer // the AfterFunc, when g is nil
+}
+
+// afterTimer is the record an AfterFunc's Timer.Stop points at; sleeps
+// need none, so they allocate nothing.
+type afterTimer struct {
+	f       func()
 	fired   bool
 	stopped bool
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}
-func (h eventHeap) peek() *event { return h[0] }
-func (v *Virtual) pushLocked(at int64, g *gor, fn func()) *event {
+
+// pushLocked adds an event to the heap.
+func (v *Virtual) pushLocked(at int64, g *gor, t *afterTimer) {
 	v.seq++
-	ev := &event{at: at, seq: v.seq, g: g, fn: fn}
-	heap.Push(&v.events, ev)
-	return ev
+	h := append(v.events, event{at: at, seq: v.seq, g: g, t: t})
+	i := len(h) - 1
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	v.events = h
+}
+
+// popLocked removes and returns the earliest event.
+func (v *Virtual) popLocked() event {
+	h := v.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].before(&h[c]) {
+				c++
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	v.events = h
+	return top
 }
 
 // NewVirtual returns a virtual clock positioned at Epoch. Drive it
 // with Run.
 func NewVirtual() *Virtual {
-	return &Virtual{parked: make(chan struct{})}
+	return &Virtual{drainUntil: -1, done: make(chan string, 1)}
 }
 
-// Run executes fn as the root machine goroutine and drives the
-// scheduler until fn returns and the remaining machine goroutines have
-// wound down. Construction may happen before Run (Go, AfterFunc and
-// the primitives all work from the calling thread then); once Run has
+// drainHorizon bounds how long pending timers keep firing after the
+// root returns.
+const drainHorizon = int64(time.Minute)
+
+// Run executes fn as the root machine goroutine and returns once fn
+// has returned and the remaining machine goroutines have wound down.
+// Construction may happen before Run (Go, AfterFunc and the
+// primitives all work from the calling thread then); once Run has
 // started, only machine goroutines may touch the clock.
 //
 // Run panics if the simulation deadlocks: every machine goroutine
@@ -102,8 +145,7 @@ func (v *Virtual) Run(fn func()) {
 		panic("vclock: Run called twice")
 	}
 	v.started = true
-	v.mu.Unlock()
-	v.Go(func() {
+	v.goLocked(func() {
 		defer func() {
 			v.mu.Lock()
 			v.rootDone = true
@@ -111,53 +153,53 @@ func (v *Virtual) Run(fn func()) {
 		}()
 		fn()
 	})
-	const drainHorizon = int64(time.Minute)
-	drainUntil := int64(-1)
-	for {
-		g := v.pick(&drainUntil, drainHorizon)
-		if g == nil {
-			return
-		}
-		v.mu.Lock()
-		v.running = g
-		v.mu.Unlock()
-		g.wake <- struct{}{}
-		<-v.parked
+	first, _ := v.pickLocked() // the root is queued, so never nil
+	v.running = first
+	v.mu.Unlock()
+	first.wake <- struct{}{}
+	if msg := <-v.done; msg != "" {
+		panic(msg)
 	}
 }
 
-// pick pops the next runnable goroutine, advancing virtual time
-// through pending events as needed. It returns nil when the
-// simulation is over (or drained past the post-root horizon).
-func (v *Virtual) pick(drainUntil *int64, horizon int64) *gor {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+// pickLocked pops the next runnable goroutine, advancing virtual time
+// through pending events as needed. It returns nil when the simulation
+// is over (or drained past the post-root horizon), with the deadlock
+// report if it ended stuck.
+func (v *Virtual) pickLocked() (*gor, string) {
 	for {
-		if len(v.runq) > 0 {
-			g := v.runq[0]
-			v.runq = v.runq[1:]
-			return g
+		if v.runqHead < len(v.runq) {
+			g := v.runq[v.runqHead]
+			v.runq[v.runqHead] = nil
+			v.runqHead++
+			if v.runqHead == len(v.runq) {
+				v.runq = v.runq[:0]
+				v.runqHead = 0
+			}
+			return g, ""
 		}
-		if v.rootDone && *drainUntil < 0 {
-			*drainUntil = v.now + horizon
+		if v.rootDone && v.drainUntil < 0 {
+			v.drainUntil = v.now + drainHorizon
 		}
 		fired := false
-		for v.events.Len() > 0 && !fired {
-			if v.rootDone && v.events.peek().at > *drainUntil {
-				return nil
+		for len(v.events) > 0 && !fired {
+			if v.rootDone && v.events[0].at > v.drainUntil {
+				return nil, ""
 			}
-			ev := heap.Pop(&v.events).(*event)
-			if ev.stopped {
-				continue
+			ev := v.popLocked()
+			if ev.t != nil {
+				if ev.t.stopped {
+					continue
+				}
+				ev.t.fired = true
 			}
-			ev.fired = true
 			if ev.at > v.now {
 				v.now = ev.at
 			}
 			if ev.g != nil {
-				v.runq = append(v.runq, ev.g)
-			} else if ev.fn != nil {
-				v.goLocked(ev.fn)
+				v.readyLocked(ev.g)
+			} else if ev.t.f != nil {
+				v.goLocked(ev.t.f)
 			}
 			fired = true
 		}
@@ -165,9 +207,28 @@ func (v *Virtual) pick(drainUntil *int64, horizon int64) *gor {
 			continue
 		}
 		if v.live > 0 && !v.rootDone {
-			panic(fmt.Sprintf("vclock: simulation deadlock: %d machine goroutine(s) parked with no pending event at T+%v", v.live, time.Duration(v.now)))
+			return nil, fmt.Sprintf("vclock: simulation deadlock: %d machine goroutine(s) parked with no pending event at T+%v", v.live, time.Duration(v.now))
 		}
-		return nil
+		return nil, ""
+	}
+}
+
+// handoff passes the token from g to next, which the caller picked
+// and made v.running before releasing v.mu: it wakes next, or tells
+// Run the simulation is over when next is nil, then blocks g until it
+// is resumed. A g whose own event came up next keeps the token with
+// no channel operation at all; a nil g has exited and does not wait.
+func (v *Virtual) handoff(g, next *gor, end string) {
+	switch next {
+	case nil:
+		v.done <- end
+	case g:
+		return
+	default:
+		next.wake <- struct{}{}
+	}
+	if g != nil {
+		<-g.wake
 	}
 }
 
@@ -179,17 +240,18 @@ func (v *Virtual) Go(f func()) {
 }
 
 func (v *Virtual) goLocked(f func()) {
-	g := &gor{wake: make(chan struct{})}
+	g := &gor{wake: make(chan struct{}, 1)}
 	v.live++
-	v.runq = append(v.runq, g)
+	v.readyLocked(g)
 	go func() {
 		<-g.wake
 		f()
 		v.mu.Lock()
 		v.live--
-		v.running = nil
+		next, end := v.pickLocked()
+		v.running = next
 		v.mu.Unlock()
-		v.parked <- struct{}{}
+		v.handoff(nil, next, end)
 	}()
 }
 
@@ -204,13 +266,13 @@ func (v *Virtual) curLocked(op string) *gor {
 	return g
 }
 
-// parkLocked releases the token (v.mu held on entry, released inside)
-// and blocks until the scheduler resumes g.
+// parkLocked gives up g's token (v.mu held on entry, released inside)
+// and blocks until g is resumed.
 func (v *Virtual) parkLocked(g *gor) {
-	v.running = nil
+	next, end := v.pickLocked()
+	v.running = next
 	v.mu.Unlock()
-	v.parked <- struct{}{}
-	<-g.wake
+	v.handoff(g, next, end)
 }
 
 // Now implements Clock.
@@ -254,16 +316,17 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) *Timer {
 	if d < 0 {
 		d = 0
 	}
+	t := &afterTimer{f: f}
 	v.mu.Lock()
-	ev := v.pushLocked(v.now+int64(d), nil, f)
+	v.pushLocked(v.now+int64(d), nil, t)
 	v.mu.Unlock()
 	return &Timer{stop: func() bool {
 		v.mu.Lock()
 		defer v.mu.Unlock()
-		if ev.fired || ev.stopped {
+		if t.fired || t.stopped {
 			return false
 		}
-		ev.stopped = true
+		t.stopped = true
 		return true
 	}}
 }
@@ -271,7 +334,15 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) *Timer {
 // Virtual implements Clock.
 func (v *Virtual) Virtual() bool { return true }
 
-// runnableLocked appends woken goroutines to the run queue in order.
-func (v *Virtual) runnableLocked(gs ...*gor) {
+// readyLocked appends woken goroutines to the run queue in order,
+// sliding the waiting ones down over the popped prefix rather than
+// growing a full array.
+func (v *Virtual) readyLocked(gs ...*gor) {
+	if v.runqHead > 0 && len(v.runq)+len(gs) > cap(v.runq) {
+		n := copy(v.runq, v.runq[v.runqHead:])
+		clear(v.runq[n:])
+		v.runq = v.runq[:n]
+		v.runqHead = 0
+	}
 	v.runq = append(v.runq, gs...)
 }

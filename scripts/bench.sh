@@ -26,7 +26,8 @@ fi
 # — including the WAN goodput rows for the line disciplines (baseline
 # vs batch vs batch+compress, small messages and bulk); internal/cs the
 # connection-server cache (new vs seed discipline); internal/ndb the
-# §4.1 hash-vs-scan experiment at 1× and 10× scale.
+# §4.1 hash-vs-scan experiment at 1× and 10× scale; internal/vclock
+# the virtual-time scheduler's token handoff and timer path.
 benches='
 .:BenchmarkTable1LatencyILEther
 .:BenchmarkTable1LatencyURPDatakit
@@ -59,6 +60,8 @@ internal/ndb:BenchmarkNdbLookupScan10x
 internal/ndb:BenchmarkNdbLookupStaleHash10x
 internal/ndb:BenchmarkNdbParse430kLines
 internal/ndb:BenchmarkNdbBuildHash10x
+internal/vclock:BenchmarkVirtualHandoff
+internal/vclock:BenchmarkVirtualSleep
 '
 
 pkgs=$(echo "$benches" | sed -n 's/^\(.*\):.*/\1/p' | sort -u)

@@ -32,7 +32,7 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # The race detector's instrumentation allocates, so these self-skip
 # under -race above and run here without it: a copy or pool bypass
 # creeping back into the hot paths fails the gate.
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/vclock
 
 echo "== chaos: real-clock torture pass (fixed seed)"
 go run ./cmd/netsim -chaos -seed 1 -msgs 40
@@ -95,6 +95,9 @@ floor internal/rexmit 85
 # The Ethernet decides which stations see every frame on the LAN: its
 # address filter, fan-out and FCS paths stay covered.
 floor internal/ether 80
+# The virtual clock orders every simulated event: its handoff, timer
+# heap, drain and deadlock paths hold the higher floor.
+floor internal/vclock 85
 
 echo "== gateway storm smoke (60 tenants on the virtual clock)"
 # A fixed-seed run of the multi-tenant import storm: one exporter,
