@@ -27,6 +27,7 @@ import (
 	"repro/internal/exportfs"
 	"repro/internal/il"
 	"repro/internal/ip"
+	"repro/internal/medium"
 	"repro/internal/mnt"
 	"repro/internal/ninep"
 	"repro/internal/ns"
@@ -136,8 +137,8 @@ func BenchmarkFigure1EtherTreeWalk(b *testing.B) {
 // configuration and returns dialer/listener protos.
 func lossyILWorld(b *testing.B, loss float64, cfg il.Config) (*il.Proto, *il.Proto, ip.Addr, func()) {
 	b.Helper()
-	seg := ether.NewSegment("e0", ether.Profile{Loss: loss, Seed: 42})
-	s1, s2 := ip.NewStack(), ip.NewStack()
+	seg := ether.NewSegment("e0", medium.Profile{Loss: loss, Seed: 42})
+	s1, s2 := ip.NewStack(nil), ip.NewStack(nil)
 	a1 := ip.Addr{10, 0, 0, 1}
 	a2 := ip.Addr{10, 0, 0, 2}
 	mask := ip.Addr{255, 255, 255, 0}
@@ -211,9 +212,9 @@ func BenchmarkILRetransmitBlind15pc(b *testing.B) { benchILRetransmit(b, 0.15, t
 // --- Ablation: adaptive vs fixed timeouts (§3) ---
 
 func benchILTimeout(b *testing.B, latency time.Duration, cfg il.Config) {
-	seg := ether.NewSegment("e0", ether.Profile{Latency: latency, Loss: 0.05, Seed: 7, Bandwidth: 1 << 26})
+	seg := ether.NewSegment("e0", medium.Profile{Latency: latency, Loss: 0.05, Seed: 7, Bandwidth: 1 << 26})
 	defer seg.Close()
-	s1, s2 := ip.NewStack(), ip.NewStack()
+	s1, s2 := ip.NewStack(nil), ip.NewStack(nil)
 	defer s1.Close()
 	defer s2.Close()
 	a1 := ip.Addr{10, 0, 0, 1}
@@ -290,9 +291,9 @@ func BenchmarkILTimeoutFixedFastWAN(b *testing.B) {
 // the pipe full.
 
 func benchILWindow(b *testing.B, window uint32) {
-	seg := ether.NewSegment("e0", ether.Profile{Latency: 2 * time.Millisecond, Bandwidth: 1 << 26})
+	seg := ether.NewSegment("e0", medium.Profile{Latency: 2 * time.Millisecond, Bandwidth: 1 << 26})
 	defer seg.Close()
-	s1, s2 := ip.NewStack(), ip.NewStack()
+	s1, s2 := ip.NewStack(nil), ip.NewStack(nil)
 	defer s1.Close()
 	defer s2.Close()
 	mask := ip.Addr{255, 255, 255, 0}
@@ -513,7 +514,7 @@ func Benchmark9PRelayThroughGateway1kClients(b *testing.B) {
 		return cend
 	}
 	openShared := func(uname string) (vfs.Handle, *ninep.Client) {
-		root, cl, err := mnt.MountConfig(serve(), uname, "", mnt.FileConfig())
+		root, cl, err := mnt.Mount(serve(), uname, "", mnt.FileConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -283,7 +283,7 @@ func printImport(w *core.World) {
 	fmt.Println("philw-gnot% ls /net")
 	show()
 	fmt.Println("philw-gnot% import -a helix /net")
-	if _, err := gnot.Import("dk!nj/astro/helix!exportfs", "/net", "/net", ns.MAFTER); err != nil {
+	if _, err := gnot.ImportConfig("dk!nj/astro/helix!exportfs", "/net", "/net", ns.MAFTER, mnt.Config{}); err != nil {
 		fmt.Fprintln(os.Stderr, "import:", err)
 		return
 	}

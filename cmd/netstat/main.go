@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dialer"
+	"repro/internal/mnt"
 	"repro/internal/ns"
 	"repro/internal/obs"
 )
@@ -58,7 +59,7 @@ func main() {
 	if *imported {
 		gnot := w.Machine("philw-gnot")
 		dest := "dk!nj/astro/" + *machine + "!exportfs"
-		if _, err := gnot.Import(dest, "/net", "/n/remote/net", ns.MREPL); err != nil {
+		if _, err := gnot.ImportConfig(dest, "/net", "/n/remote/net", ns.MREPL, mnt.Config{}); err != nil {
 			fmt.Fprintln(os.Stderr, "netstat: import:", err)
 			os.Exit(1)
 		}

@@ -43,7 +43,7 @@ func main() {
 	done := make(chan string, 1)
 	if _, err := helix.Serve("il!*!cpu", func(nsp *ns.Namespace, conn *dialer.Conn) {
 		// The terminal end is an exportfs server: mount it.
-		root, cl, err := mnt.Mount(ninep.NewDelimConn(conn), nsp.User(), "")
+		root, cl, err := mnt.Mount(ninep.NewDelimConn(conn), nsp.User(), "", mnt.Config{})
 		if err != nil {
 			done <- "mount: " + err.Error()
 			return
@@ -79,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	go exportfs.Serve(ninep.NewDelimConn(conn), musca.NS, "/", nil)
+	go exportfs.NewServer(musca.NS, exportfs.Config{}).ServeConn(ninep.NewDelimConn(conn))
 
 	if msg := <-done; msg != "ok" {
 		log.Fatal(msg)

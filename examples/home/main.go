@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exportfs"
+	"repro/internal/mnt"
 	"repro/internal/ninep"
 	"repro/internal/ns"
 	"repro/internal/ramfs"
@@ -62,12 +63,12 @@ func main() {
 	if err := helix.AttachUART(1, cpuEnd); err != nil {
 		log.Fatal(err)
 	}
-	go exportfs.Serve(ninep.NewStreamConn(endRWC{cpuEnd}), helix.NS, "/", nil)
+	go exportfs.NewServer(helix.NS, exportfs.Config{}).ServeConn(ninep.NewStreamConn(endRWC{cpuEnd}))
 
 	// The home machine: not in the world at all, just a name space
 	// and the serial port.
 	home := ns.New("philw", ramfs.New("philw").Root())
-	cl, err := exportfs.Import(home, ninep.NewStreamConn(endRWC{homeEnd}), "", "/n/helix", ns.MREPL)
+	cl, err := exportfs.Import(home, ninep.NewStreamConn(endRWC{homeEnd}), "", "/n/helix", ns.MREPL, mnt.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -225,7 +225,7 @@ func TestImportGatewayParagraph(t *testing.T) {
 		t.Fatal("tcp dial succeeded without the gateway")
 	}
 
-	if _, err := gnot.Import("dk!nj/astro/helix!exportfs", "/net", "/net", ns.MAFTER); err != nil {
+	if _, err := gnot.ImportConfig("dk!nj/astro/helix!exportfs", "/net", "/net", ns.MAFTER, mnt.Config{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -276,7 +276,7 @@ func TestMount9fsFromFileServer(t *testing.T) {
 	if err := bootes.Root.WriteFile("lib/motd", []byte("plan 9 from bell labs\n"), 0664); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := helix.Import("il!bootes!9fs", "/", "/n/bootes", ns.MREPL); err != nil {
+	if _, err := helix.ImportConfig("il!bootes!9fs", "/", "/n/bootes", ns.MREPL, mnt.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := helix.NS.ReadFile("/n/bootes/lib/motd")
@@ -324,7 +324,7 @@ func TestEtherBystandersSeeOnlyBroadcasts(t *testing.T) {
 	probe.SetType(ether.TypeAll)
 	probe.SetDeliver(func([]byte) { broadcasts.Add(1) })
 
-	if _, err := helix.Import("il!bootes!9fs", "/", "/n/bootes", ns.MREPL); err != nil {
+	if _, err := helix.ImportConfig("il!bootes!9fs", "/", "/n/bootes", ns.MREPL, mnt.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := helix.NS.ReadFile("/n/bootes/lib/big")
@@ -359,7 +359,7 @@ func TestMount9fsOverTCPWithMarshaling(t *testing.T) {
 	bootes := w.Machine("bootes")
 	musca := w.Machine("musca")
 	bootes.Root.WriteFile("lib/motd", []byte("via tcp"), 0664)
-	if _, err := musca.Import("tcp!bootes!9fs", "/", "/n/bootes", ns.MREPL); err != nil {
+	if _, err := musca.ImportConfig("tcp!bootes!9fs", "/", "/n/bootes", ns.MREPL, mnt.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := musca.NS.ReadFile("/n/bootes/lib/motd")
@@ -378,7 +378,7 @@ func TestNinePOverCyclone(t *testing.T) {
 	if _, err := bootes.Serve9P("cyc0!*!9fs", "/"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := helix.MountRemote("cyc0!bootes!9fs", "", "/n/boot", ns.MREPL); err != nil {
+	if _, err := helix.ImportConfig("cyc0!bootes!9fs", "", "/n/boot", ns.MREPL, mnt.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := helix.NS.ReadFile("/n/boot/lib/fiber")
@@ -391,7 +391,7 @@ func TestWriteThroughImportedTree(t *testing.T) {
 	w := paperWorld(t)
 	bootes := w.Machine("bootes")
 	helix := w.Machine("helix")
-	if _, err := helix.Import("il!bootes!9fs", "/tmp", "/n/btmp", ns.MREPL|ns.MCREATE); err != nil {
+	if _, err := helix.ImportConfig("il!bootes!9fs", "/tmp", "/n/btmp", ns.MREPL|ns.MCREATE, mnt.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := helix.NS.WriteFile("/n/btmp/out", []byte("written from helix"), 0664); err != nil {
@@ -495,7 +495,7 @@ func TestLocalRemoteStatusFilesViaDialer(t *testing.T) {
 }
 
 func TestMachineBootErrors(t *testing.T) {
-	w, err := NewWorld(PaperNdb)
+	w, err := NewWorldClock(PaperNdb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +539,7 @@ func TestImportOverDisciplinedConversation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	if _, err := helix.MountRemoteConfig("tcp!bootes!9990", "", "/n/bootes",
+	if _, err := helix.ImportConfig("tcp!bootes!9990", "", "/n/bootes",
 		ns.MREPL, mnt.Config{Push: mods}); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestCpuSession(t *testing.T) {
 
 	done := make(chan string, 1)
 	if _, err := helix.Serve("il!*!cpu", func(nsp *ns.Namespace, conn *dialer.Conn) {
-		root, cl, err := mnt.Mount(ninep.NewDelimConn(conn), nsp.User(), "")
+		root, cl, err := mnt.Mount(ninep.NewDelimConn(conn), nsp.User(), "", mnt.Config{})
 		if err != nil {
 			done <- err.Error()
 			return
@@ -58,7 +58,7 @@ func TestCpuSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	go exportfs.Serve(ninep.NewDelimConn(conn), musca.NS, "/", nil)
+	go exportfs.NewServer(musca.NS, exportfs.Config{}).ServeConn(ninep.NewDelimConn(conn))
 
 	select {
 	case msg := <-done:

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dialer"
 	"repro/internal/il"
+	"repro/internal/mnt"
 	"repro/internal/ns"
 	"repro/internal/vfs"
 )
@@ -15,7 +16,7 @@ import (
 // remote stack goes away mid-conversation and the local end must fail
 // within the (shortened) death time rather than hang.
 func TestPartitionKillsConnections(t *testing.T) {
-	w, err := NewWorld(PaperNdb)
+	w, err := NewWorldClock(PaperNdb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestMountDeathReportsErrors(t *testing.T) {
 	bootes := w.Machine("bootes")
 	musca := w.Machine("musca")
 	bootes.Root.WriteFile("lib/alive", []byte("yes"), 0664)
-	cl, err := musca.Import("tcp!bootes!9fs", "/", "/n/b", ns.MREPL)
+	cl, err := musca.ImportConfig("tcp!bootes!9fs", "/", "/n/b", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

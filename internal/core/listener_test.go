@@ -134,7 +134,7 @@ tcp=echo port=7
 // that IL traffic crosses the IP gateway, with routes taken from the
 // database's ipgw attributes at boot.
 func TestSubnetGatewayRouting(t *testing.T) {
-	w, err := NewWorld(subnetNdb)
+	w, err := NewWorldClock(subnetNdb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSubnetGatewayRouting(t *testing.T) {
 // TestSubnetMaskFromNdb checks that boot derives interface masks from
 // the ipnet entries (the office /24 under a class-B address).
 func TestSubnetMaskFromNdb(t *testing.T) {
-	w, err := NewWorld(subnetNdb)
+	w, err := NewWorldClock(subnetNdb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

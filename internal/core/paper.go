@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cyclone"
 	"repro/internal/dnssrv"
-	"repro/internal/ether"
 	"repro/internal/ip"
 	"repro/internal/medium"
 )
@@ -78,7 +77,7 @@ udp=dns		port=53
 // Datakit ~2 Mb/s cell traffic with higher latency, Cyclone 125 Mb/s
 // point-to-point fiber.
 type PaperProfiles struct {
-	Ether   ether.Profile
+	Ether   medium.Profile
 	Datakit medium.Profile
 	Cyclone medium.Profile
 }
@@ -87,7 +86,7 @@ type PaperProfiles struct {
 // media speeds.
 func CalibratedProfiles() PaperProfiles {
 	return PaperProfiles{
-		Ether: ether.Profile{
+		Ether: medium.Profile{
 			Bandwidth: 10_000_000 / 8, // 10 Mb/s
 			Latency:   200 * time.Microsecond,
 		},
@@ -120,7 +119,7 @@ func FastProfiles() PaperProfiles {
 // EXPERIMENTS.md).
 func WANProfiles() PaperProfiles {
 	return PaperProfiles{
-		Ether: ether.Profile{
+		Ether: medium.Profile{
 			Bandwidth: 100_000_000 / 8, // 100 Mb/s
 			Latency:   5 * time.Millisecond,
 		},
@@ -149,7 +148,7 @@ func WANProfiles() PaperProfiles {
 //   - services: 9fs and exportfs on the servers, echo and discard on
 //     helix.
 func PaperWorld(profiles PaperProfiles) (*World, error) {
-	w, err := NewWorld(PaperNdb)
+	w, err := NewWorldClock(PaperNdb, nil)
 	if err != nil {
 		return nil, err
 	}

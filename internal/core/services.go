@@ -175,20 +175,13 @@ func (m *Machine) Exportfs() *exportfs.Server {
 	return m.export
 }
 
-// Import dials the exportfs service on a remote machine and mounts
-// its subtree at old with the given bind flag: the import command of
-// §6.1. dest is a dial string such as "net!helix!exportfs". The mount
-// keeps the serial driver's exact RPC mapping — windowed fan-out,
-// readahead, and write-behind stay off because imports usually carry
-// live device trees (see ImportConfig).
-func (m *Machine) Import(dest, remotePath, old string, flag int) (*ninep.Client, error) {
-	return m.ImportConfig(dest, remotePath, old, flag, mnt.Config{})
-}
-
-// ImportConfig is Import with an explicit mount-driver configuration —
-// mnt.FileConfig() (windowed transfers, readahead, write-behind) for a
-// plain file tree; the zero Config is the serial RPC-per-fragment
-// driver.
+// ImportConfig dials the 9P service at dest and mounts its subtree
+// remotePath at old with the given bind flag: the import command of
+// §6.1. dest is a dial string such as "net!helix!exportfs" or
+// "il!bootes!9fs" — every 9P service here is an exportfs server. The
+// zero mnt.Config keeps the serial driver's exact RPC mapping, because
+// imports usually carry live device trees; mnt.FileConfig() (windowed
+// transfers, readahead, write-behind) suits a plain file tree.
 func (m *Machine) ImportConfig(dest, remotePath, old string, flag int, cfg mnt.Config) (*ninep.Client, error) {
 	if cfg.Client.Clock == nil {
 		cfg.Client.Clock = m.World.Clock()
@@ -202,43 +195,8 @@ func (m *Machine) ImportConfig(dest, remotePath, old string, flag int, cfg mnt.C
 		return nil, err
 	}
 	remotePath = strings.TrimPrefix(ns.Clean(remotePath), "/")
-	cl, err := exportfs.ImportConfig(m.NS, msgConnFor(conn), remotePath, old, flag, cfg)
+	cl, err := exportfs.Import(m.NS, msgConnFor(conn), remotePath, old, flag, cfg)
 	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	m.addMntClient(cl)
-	m.onClose(func() { cl.Close() })
-	return cl, nil
-}
-
-// MountRemote dials dest and mounts the 9P tree served there (e.g. a
-// file server speaking 9P directly on a Cyclone link).
-func (m *Machine) MountRemote(dest, aname, old string, flag int) (*ninep.Client, error) {
-	return m.MountRemoteConfig(dest, aname, old, flag, mnt.Config{})
-}
-
-// MountRemoteConfig is MountRemote with an explicit mount-driver
-// configuration.
-func (m *Machine) MountRemoteConfig(dest, aname, old string, flag int, cfg mnt.Config) (*ninep.Client, error) {
-	if cfg.Client.Clock == nil {
-		cfg.Client.Clock = m.World.Clock()
-	}
-	conn, err := dialer.Dial(m.NS, dest)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.Push(cfg.Push...); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	root, cl, err := mnt.MountConfig(msgConnFor(conn), m.NS.User(), aname, cfg)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := m.NS.MountNode(root, old, flag); err != nil {
-		cl.Close()
 		conn.Close()
 		return nil, err
 	}

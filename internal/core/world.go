@@ -31,16 +31,11 @@ type World struct {
 	closers  []func()
 }
 
-// NewWorld creates an empty world with the given database text (the
-// shared /lib/ndb/local every machine reads).
-func NewWorld(ndbText string) (*World, error) {
-	return NewWorldClock(ndbText, nil)
-}
-
-// NewWorldClock is NewWorld on an explicit clock: every medium the
+// NewWorldClock creates an empty world with the given database text
+// (the shared /lib/ndb/local every machine reads). Every medium the
 // world creates and every machine booted into it inherits ck, so a
-// discrete-event clock simulates the whole network. nil means the
-// real clock.
+// discrete-event clock simulates the whole network; nil means the real
+// clock.
 func NewWorldClock(ndbText string, ck vclock.Clock) (*World, error) {
 	db, err := ndb.ParseDB(map[string][]byte{"local": []byte(ndbText)}, "local")
 	if err != nil {
@@ -64,7 +59,7 @@ func (w *World) DB() *ndb.DB { return w.db }
 
 // AddEther creates a broadcast segment with the given medium profile.
 // The segment runs on the world's clock unless the profile names one.
-func (w *World) AddEther(name string, p ether.Profile) *ether.Segment {
+func (w *World) AddEther(name string, p medium.Profile) *ether.Segment {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if p.Clock == nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ether"
 	"repro/internal/ip"
+	"repro/internal/medium"
 	"repro/internal/udp"
 	"repro/internal/vclock"
 	"repro/internal/vfs"
@@ -80,6 +81,39 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 }
 
+// TestNamesFoldASCIICaseOnly decodes question names that differ only
+// in one label byte: ASCII case folds away, and nothing else does, so
+// distinct names on the wire never decode alike.
+func TestNamesFoldASCIICaseOnly(t *testing.T) {
+	decode := func(label string) string {
+		t.Helper()
+		p := append(make([]byte, 12), 0, 0, 0, 0)
+		p[5] = 1 // one question
+		p = append(append(p[:12], byte(len(label))), label...)
+		p = append(p, 3, 'c', 'o', 'm', 0, 0, 1, 0, 1)
+		m, err := Unmarshal(p)
+		if err != nil {
+			t.Fatalf("label %q: %v", label, err)
+		}
+		return m.QName
+	}
+	if a, b := decode("HeLiX"), decode("helix"); a != b || a != "helix.com" {
+		t.Errorf("ASCII case: %q and %q, want both helix.com", a, b)
+	}
+	for _, pair := range [][2]string{
+		{"\u212a", "k"},          // Kelvin sign, which Unicode folds to k
+		{"\x88ey", "\x89ey"},     // two invalid UTF-8 bytes
+		{"\xc3\x80", "\xc3\xa0"}, // À and à: not ASCII, so not folded
+	} {
+		if a, b := decode(pair[0]), decode(pair[1]); a == b {
+			t.Errorf("labels %q and %q both decode as %q", pair[0], pair[1], a)
+		}
+	}
+	if got := decode("\x88ey"); got != "\x88ey.com" {
+		t.Errorf("invalid UTF-8 label decoded as %q, want the bytes unchanged", got)
+	}
+}
+
 func TestZoneLookup(t *testing.T) {
 	z := NewZone("example.com")
 	z.AddA("www.example.com", "1.2.3.4")
@@ -113,11 +147,11 @@ func TestZoneLookup(t *testing.T) {
 // resolver on one ether segment.
 func resolverWorld(t *testing.T) *Resolver {
 	t.Helper()
-	seg := ether.NewSegment("e0", ether.Profile{})
+	seg := ether.NewSegment("e0", medium.Profile{})
 	t.Cleanup(seg.Close)
 	mask := ip.Addr{255, 255, 255, 0}
 	mk := func(a ip.Addr) *udp.Proto {
-		st := ip.NewStack()
+		st := ip.NewStack(nil)
 		if _, err := st.Bind(seg.NewInterface("e"), a, mask); err != nil {
 			t.Fatal(err)
 		}
@@ -203,9 +237,9 @@ func TestTimeoutWhenNoServers(t *testing.T) {
 	// goroutine would hang the scheduler.)
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		seg := ether.NewSegment("e0", ether.Profile{Clock: v})
+		seg := ether.NewSegment("e0", medium.Profile{Clock: v})
 		defer seg.Close()
-		st := ip.NewStackClock(v)
+		st := ip.NewStack(v)
 		defer st.Close()
 		st.Bind(seg.NewInterface("e"), ip.Addr{10, 0, 0, 9}, ip.Addr{255, 255, 255, 0})
 		r := NewResolver(udp.New(st), []ip.Addr{{10, 0, 0, 200}}) // nobody there

@@ -101,7 +101,25 @@ type Msg struct {
 
 // Canonical lower-cases and strips the trailing dot.
 func Canonical(name string) string {
-	return strings.TrimSuffix(strings.ToLower(name), ".")
+	return strings.TrimSuffix(lowerASCII(name), ".")
+}
+
+// lowerASCII folds A-Z only, as DNS compares names (RFC 4343). Every
+// other byte, valid UTF-8 or not, passes through unchanged, so two
+// names that differ on the wire other than in ASCII case never fold
+// alike.
+func lowerASCII(s string) string {
+	i := strings.IndexFunc(s, func(r rune) bool { return 'A' <= r && r <= 'Z' })
+	if i < 0 {
+		return s
+	}
+	b := []byte(s)
+	for ; i < len(b); i++ {
+		if 'A' <= b[i] && b[i] <= 'Z' {
+			b[i] += 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 // Marshaling errors.
@@ -134,7 +152,14 @@ func getName(p []byte, off int) (string, int, error) {
 		if n > 63 || off+n > len(p) {
 			return "", 0, ErrBadMsg
 		}
-		labels = append(labels, string(p[off:off+n]))
+		// A name decodes to the canonical form Marshal writes: ASCII
+		// lower case. A label holding a dot, which the dotted form
+		// would split on, has no such form.
+		label := lowerASCII(string(p[off : off+n]))
+		if strings.Contains(label, ".") {
+			return "", 0, ErrBadMsg
+		}
+		labels = append(labels, label)
 		off += n
 	}
 	return strings.Join(labels, "."), off, nil

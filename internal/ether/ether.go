@@ -8,9 +8,9 @@
 //	ether/1/ctl  ether/1/data  ether/1/stats  ether/1/type
 //	...
 //
-// The medium is characterized by a Profile (latency, bandwidth, MTU,
-// loss) so the performance experiments can calibrate it to the paper's
-// 10 Mb/s hardware; with a zero Profile frames are delivered
+// The medium is characterized by a medium.Profile (latency, bandwidth,
+// MTU, loss) so the performance experiments can calibrate it to the
+// paper's 10 Mb/s hardware; with a zero profile frames are delivered
 // synchronously and tests run at memory speed.
 package ether
 
@@ -63,46 +63,12 @@ func (a Addr) String() string {
 // Broadcast is the all-ones broadcast address.
 var Broadcast = Addr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
-// Profile characterizes a medium for the simulator.
-type Profile struct {
-	// Latency is the propagation delay applied to every frame.
-	Latency time.Duration
-	// Bandwidth in bytes per second paces transmission; 0 means
-	// unlimited (no pacing sleeps at all).
-	Bandwidth int64
-	// MTU is the largest payload (not counting the header); 0 means
-	// 1500.
-	MTU int
-	// Loss is the probability in [0,1) that a frame is dropped.
-	Loss float64
-	// Seed seeds the impairment generator for reproducibility.
-	Seed int64
-	// Impair extends Loss into the full fault model (duplication,
-	// reordering, corruption, jitter, bursty loss, partitions), all
-	// replayable from Seed. See medium.Impairment. A corrupted frame
-	// still reaches the station it was addressed to and fails the FCS
-	// there, so corruption surfaces as loss plus a crc errs count — as
-	// on real hardware.
-	Impair medium.Impairment
-	// Clock schedules pacing, propagation, and jitter; nil means the
-	// real clock. A vclock.Virtual turns the segment into a
-	// discrete-event component.
-	Clock vclock.Clock
-}
-
-func (p Profile) mtu() int {
-	if p.MTU <= 0 {
-		return 1500
-	}
-	return p.MTU
-}
-
 // Segment is a broadcast domain: every frame transmitted by one
 // interface is on the wire for all others, and each station's address
 // filter decides whether to take it (medium effects permitting).
 type Segment struct {
 	name    string
-	profile Profile
+	profile medium.Profile
 	ck      vclock.Clock
 	im      *medium.Impairer // nil on an unimpaired, lossless segment
 	ideal   bool             // ideal medium: no pacing, no impairment, FCS elided
@@ -129,8 +95,12 @@ func (seg *Segment) stations() []*Interface {
 	return nil
 }
 
-// NewSegment creates a segment with the given medium profile.
-func NewSegment(name string, p Profile) *Segment {
+// NewSegment creates a segment with the given medium profile. A zero
+// MTU means Ethernet's 1500 bytes. Under impairment a corrupted frame
+// still reaches the station it was addressed to and fails the FCS
+// there, so corruption surfaces as loss plus a crc errs count — as on
+// real hardware.
+func NewSegment(name string, p medium.Profile) *Segment {
 	ck := vclock.Or(p.Clock)
 	seg := &Segment{
 		name:    name,
@@ -155,7 +125,7 @@ func NewSegment(name string, p Profile) *Segment {
 func (seg *Segment) Clock() vclock.Clock { return seg.ck }
 
 // Schedule returns the segment's recorded impairment decisions
-// (requires Profile.Impair.Record); nil when unimpaired.
+// (requires medium.Profile.Impair.Record); nil when unimpaired.
 func (seg *Segment) Schedule() []medium.Decision {
 	if seg.im == nil {
 		return nil
@@ -175,8 +145,14 @@ func (seg *Segment) ImpairCounts() medium.Counts {
 // Name returns the segment's name.
 func (seg *Segment) Name() string { return seg.name }
 
-// MTU returns the medium MTU.
-func (seg *Segment) MTU() int { return seg.profile.mtu() }
+// MTU returns the medium MTU: the largest payload, not counting the
+// header.
+func (seg *Segment) MTU() int {
+	if seg.profile.MTU <= 0 {
+		return 1500
+	}
+	return seg.profile.MTU
+}
 
 // Close shuts the medium down; interfaces stop receiving.
 func (seg *Segment) Close() {
@@ -260,10 +236,10 @@ func (seg *Segment) transmitter() {
 // into the block's tailroom in place (elided on an ideal medium).
 // Ownership of b transfers to the segment.
 func (seg *Segment) transmitBlock(from *Interface, b *block.Block) error {
-	if b.Len()-HdrLen > seg.profile.mtu() {
+	if b.Len()-HdrLen > seg.MTU() {
 		n := b.Len() - HdrLen
 		b.Free()
-		return fmt.Errorf("ether: packet exceeds MTU (%d > %d)", n, seg.profile.mtu())
+		return fmt.Errorf("ether: packet exceeds MTU (%d > %d)", n, seg.MTU())
 	}
 	var dst Addr
 	copy(dst[:], b.Bytes())
@@ -589,7 +565,7 @@ func (ifc *Interface) OpenConn() (*Conn, error) {
 // newStreamLocked builds the conversation's stream; the device end
 // transmits frames.
 func (c *Conn) newStreamLocked() *streams.Stream {
-	return streams.New(0, func(b *streams.Block) {
+	return streams.New(0, c.ifc.seg.Clock(), func(b *streams.Block) {
 		if b.Type != streams.BlockData {
 			b.Free()
 			return

@@ -11,7 +11,7 @@ import (
 	"repro/internal/vfs"
 )
 
-func newSeg(t *testing.T, p Profile) *Segment {
+func newSeg(t *testing.T, p medium.Profile) *Segment {
 	t.Helper()
 	seg := NewSegment("ether0", p)
 	t.Cleanup(seg.Close)
@@ -26,7 +26,7 @@ func TestAddrString(t *testing.T) {
 }
 
 func TestUnicastDelivery(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	i1 := seg.NewInterface("ether0")
 	i2 := seg.NewInterface("ether0")
 	c1, _ := i1.OpenConn()
@@ -80,7 +80,7 @@ func mustRead(t *testing.T, c *Conn, buf []byte) int {
 }
 
 func TestTypeFiltering(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	i1 := seg.NewInterface("e")
 	i2 := seg.NewInterface("e")
 	cIP, _ := i2.OpenConn()
@@ -106,7 +106,7 @@ func TestTypeFiltering(t *testing.T) {
 }
 
 func TestCopyToAllMatchingConversations(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	i1 := seg.NewInterface("e")
 	i2 := seg.NewInterface("e")
 	a, _ := i2.OpenConn()
@@ -129,7 +129,7 @@ func TestCopyToAllMatchingConversations(t *testing.T) {
 }
 
 func TestTypeAllAndPromiscuous(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	i1 := seg.NewInterface("e")
 	i2 := seg.NewInterface("e")
 	i3 := seg.NewInterface("e") // the snooper
@@ -164,7 +164,7 @@ func TestTypeAllAndPromiscuous(t *testing.T) {
 }
 
 func TestMTUEnforced(t *testing.T) {
-	seg := newSeg(t, Profile{MTU: 64})
+	seg := newSeg(t, medium.Profile{MTU: 64})
 	i1 := seg.NewInterface("e")
 	c, _ := i1.OpenConn()
 	defer c.Close()
@@ -178,7 +178,7 @@ func TestMTUEnforced(t *testing.T) {
 }
 
 func TestLossProfileDropsFrames(t *testing.T) {
-	seg := newSeg(t, Profile{Loss: 1.0, Seed: 42, Bandwidth: 1 << 30})
+	seg := newSeg(t, medium.Profile{Loss: 1.0, Seed: 42, Bandwidth: 1 << 30})
 	i1 := seg.NewInterface("e")
 	i2 := seg.NewInterface("e")
 	rx, _ := i2.OpenConn()
@@ -197,7 +197,7 @@ func TestLossProfileDropsFrames(t *testing.T) {
 }
 
 func TestLatencyProfileDelays(t *testing.T) {
-	seg := newSeg(t, Profile{Latency: 30 * time.Millisecond, Bandwidth: 1 << 30})
+	seg := newSeg(t, medium.Profile{Latency: 30 * time.Millisecond, Bandwidth: 1 << 30})
 	i1 := seg.NewInterface("e")
 	i2 := seg.NewInterface("e")
 	rx, _ := i2.OpenConn()
@@ -216,7 +216,7 @@ func TestLatencyProfileDelays(t *testing.T) {
 }
 
 func TestConnExhaustionAndReuse(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	ifc := seg.NewInterface("e")
 	var conns []*Conn
 	for range MaxConns {
@@ -256,7 +256,7 @@ func etherNS(t *testing.T, seg *Segment) (*ns.Namespace, *Interface) {
 }
 
 func TestFigure1FileTree(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	nsp, _ := etherNS(t, seg)
 
 	// Initially just the clone file.
@@ -315,7 +315,7 @@ func TestFigure1FileTree(t *testing.T) {
 }
 
 func TestDataFileSendReceive(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	nsA, ifcA := etherNS(t, seg)
 	nsB, ifcB := etherNS(t, seg)
 	_ = ifcA
@@ -356,7 +356,7 @@ func TestDataFileSendReceive(t *testing.T) {
 }
 
 func TestConnLifetimeTiedToOpenFiles(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	nsp, _ := etherNS(t, seg)
 	ctl, _ := nsp.Open("/net/ether0/clone", vfs.ORDWR)
 	ctl.WriteString("connect 7")
@@ -376,7 +376,7 @@ func TestConnLifetimeTiedToOpenFiles(t *testing.T) {
 }
 
 func TestInterfaceStatsCounters(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	i1 := seg.NewInterface("e")
 	i2 := seg.NewInterface("e")
 	rx, _ := i2.OpenConn()
@@ -401,7 +401,7 @@ func TestInterfaceStatsCounters(t *testing.T) {
 }
 
 func TestKernelDeliverHook(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	i1 := seg.NewInterface("e")
 	i2 := seg.NewInterface("e")
 	got := make(chan []byte, 1)
@@ -427,7 +427,7 @@ func TestUnreadConversationDoesNotWedgeInterface(t *testing.T) {
 	// A snooping conversation nobody reads fills its queue; the
 	// driver must drop for it and keep delivering new frames to
 	// conversations that do read.
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	i1 := seg.NewInterface("e")
 	i2 := seg.NewInterface("e")
 	dead, _ := i2.OpenConn() // never read
@@ -441,11 +441,18 @@ func TestUnreadConversationDoesNotWedgeInterface(t *testing.T) {
 	defer tx.Close()
 	payload := make([]byte, 1400)
 	// Saturate the dead conversation's queue (default limit 128K).
-	for range 200 {
+	const burst = 200
+	for range burst {
 		tx.Transmit(i2.Addr(), payload)
 	}
+	// Wait until the interface reader has demultiplexed the whole
+	// burst: each frame is either queued on or dropped for each of the
+	// two conversations. A marker sent while the reader still works
+	// through the backlog would land behind it and be dropped by the
+	// very overflow policy under test.
+	demuxed := func() int64 { return dead.inPackets.Load() + live.inPackets.Load() + i2.overflows.Load() }
 	deadline := time.Now().Add(5 * time.Second)
-	for i2.overflows.Load() == 0 && time.Now().Before(deadline) {
+	for demuxed() < 2*burst && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if i2.overflows.Load() == 0 {
@@ -479,7 +486,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestImpairmentDuplicatesFrames(t *testing.T) {
-	seg := newSeg(t, Profile{Seed: 1, Impair: medium.Impairment{Duplicate: 1}})
+	seg := newSeg(t, medium.Profile{Seed: 1, Impair: medium.Impairment{Duplicate: 1}})
 	i1 := seg.NewInterface("ether0")
 	i2 := seg.NewInterface("ether1")
 	c1, _ := i1.OpenConn()
@@ -504,7 +511,7 @@ func TestImpairmentDuplicatesFrames(t *testing.T) {
 }
 
 func TestImpairmentReordersFrames(t *testing.T) {
-	seg := newSeg(t, Profile{Seed: 2, Impair: medium.Impairment{Reorder: 0.5, ReorderDepth: 3}})
+	seg := newSeg(t, medium.Profile{Seed: 2, Impair: medium.Impairment{Reorder: 0.5, ReorderDepth: 3}})
 	i1 := seg.NewInterface("ether0")
 	i2 := seg.NewInterface("ether1")
 	c1, _ := i1.OpenConn()
@@ -546,7 +553,7 @@ func TestImpairmentReordersFrames(t *testing.T) {
 // never delivered — corruption on an Ethernet reaches protocols as
 // loss, exactly like the real LANCE.
 func TestCorruptFramesFailFCS(t *testing.T) {
-	seg := newSeg(t, Profile{Seed: 3, Impair: medium.Impairment{Corrupt: 1}})
+	seg := newSeg(t, medium.Profile{Seed: 3, Impair: medium.Impairment{Corrupt: 1}})
 	i1 := seg.NewInterface("ether0")
 	i2 := seg.NewInterface("ether1")
 	c1, _ := i1.OpenConn()

@@ -17,7 +17,7 @@ import (
 
 // onSegment runs body against a fresh segment with profile p, inside
 // the scheduler when p's clock is virtual.
-func onSegment(p Profile, body func(seg *Segment)) {
+func onSegment(p medium.Profile, body func(seg *Segment)) {
 	run := func(f func()) { f() }
 	if v, ok := p.Clock.(*vclock.Virtual); ok {
 		run = v.Run
@@ -75,11 +75,11 @@ func emitted(seg *Segment, sent int64) int64 {
 func TestAddressFilter(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		p    Profile
+		p    medium.Profile
 	}{
-		{"ideal", Profile{}},
-		{"paced-virtual", Profile{Bandwidth: 10_000_000 / 8, Latency: 200 * time.Microsecond, Clock: vclock.NewVirtual()}},
-		{"impaired", Profile{Loss: 0.1, Seed: 7, Impair: medium.Impairment{Duplicate: 0.3, Corrupt: 0.3}}},
+		{"ideal", medium.Profile{}},
+		{"paced-virtual", medium.Profile{Bandwidth: 10_000_000 / 8, Latency: 200 * time.Microsecond, Clock: vclock.NewVirtual()}},
+		{"impaired", medium.Profile{Loss: 0.1, Seed: 7, Impair: medium.Impairment{Duplicate: 0.3, Corrupt: 0.3}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			onSegment(tc.p, func(seg *Segment) {
@@ -149,7 +149,7 @@ func TestAddressFilter(t *testing.T) {
 // or closing the conversation shuts it again, however often the mode
 // was set.
 func TestPromiscuousBystander(t *testing.T) {
-	seg := newSeg(t, Profile{})
+	seg := newSeg(t, medium.Profile{})
 	_, tx := station(t, seg)
 	b, rx := station(t, seg)
 	c, cc := station(t, seg)
@@ -230,4 +230,50 @@ func TestPromiscuousBystander(t *testing.T) {
 	defer again.Close()
 	send()
 	expect("slot reopened", 2, 0)
+}
+
+// TestVirtualReadParksOnSegmentClock: a machine goroutine that blocks
+// in Conn.Read before its peer transmits must park on the segment's
+// clock. A conversation stream waiting on the real clock would keep
+// the virtual scheduler's token, so simulated time — and with it the
+// frame the reader waits for — would never advance.
+func TestVirtualReadParksOnSegmentClock(t *testing.T) {
+	v := vclock.NewVirtual()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		onSegment(medium.Profile{Latency: 200 * time.Microsecond, Clock: v}, func(seg *Segment) {
+			i1, i2 := seg.NewInterface("ether0"), seg.NewInterface("ether0")
+			tx, _ := i1.OpenConn()
+			defer tx.Close()
+			rx, _ := i2.OpenConn()
+			defer rx.Close()
+			tx.SetType(0x800)
+			rx.SetType(0x800)
+			got := vclock.NewMailbox[string](v, 1)
+			v.Go(func() {
+				buf := make([]byte, 2048)
+				n, err := rx.Read(buf)
+				if err != nil || n < HdrLen {
+					t.Errorf("read: n=%d err=%v", n, err)
+					got.Close()
+					return
+				}
+				got.Send(string(buf[HdrLen:n]))
+			})
+			v.Sleep(time.Millisecond) // the reader parks first
+			if err := tx.Transmit(i2.Addr(), []byte("late frame")); err != nil {
+				t.Error(err)
+				return
+			}
+			if msg, ok := got.Recv(); ok && msg != "late frame" {
+				t.Errorf("read %q", msg)
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("simulation wedged: the read did not park on the segment's clock")
+	}
 }

@@ -119,34 +119,18 @@ func (s *Server) Stats() string {
 	return b.String()
 }
 
-// Serve exports the subtree of nsp rooted at root over conn, blocking
-// until the connection fails. The initial protocol that "establishes
-// the root of the file tree being exported" is the 9P attach itself:
-// the attach name is joined beneath root. ck drives the server's
-// per-request goroutines; nil means the real clock. It is the
-// single-connection form: a throwaway Server per transport, the
-// pre-gateway shape callers like torture keep using.
-func Serve(conn ninep.MsgConn, nsp *ns.Namespace, root string, ck vclock.Clock) error {
-	return NewServer(nsp, Config{Root: root, Clock: ck}).ServeConn(conn)
-}
-
 // Import mounts the tree exported on conn at mountpoint old in nsp,
 // with bind flags (ns.MREPL, ns.MAFTER, ...): the import command of
 // §6.1. It returns the 9P client so the caller can Close it to
 // unmount.
 //
-// Import keeps the serial mount driver's exact RPC mapping — no
-// windowed fan-out, readahead, or write-behind: an import typically
-// carries live device files — /net of a gateway — where speculative
-// I/O is unsafe. Use ImportConfig (e.g. with mnt.FileConfig) to opt a
-// plain file-tree import into pipelining.
-func Import(nsp *ns.Namespace, conn ninep.MsgConn, aname, old string, flag int) (*ninep.Client, error) {
-	return ImportConfig(nsp, conn, aname, old, flag, mnt.Config{})
-}
-
-// ImportConfig is Import with an explicit mount-driver configuration.
-func ImportConfig(nsp *ns.Namespace, conn ninep.MsgConn, aname, old string, flag int, cfg mnt.Config) (*ninep.Client, error) {
-	root, cl, err := mnt.MountConfig(conn, nsp.User(), aname, cfg)
+// The zero mnt.Config keeps the serial mount driver's exact RPC
+// mapping — no windowed fan-out, readahead, or write-behind: an import
+// typically carries live device files — /net of a gateway — where
+// speculative I/O is unsafe. mnt.FileConfig opts a plain file-tree
+// import into pipelining.
+func Import(nsp *ns.Namespace, conn ninep.MsgConn, aname, old string, flag int, cfg mnt.Config) (*ninep.Client, error) {
+	root, cl, err := mnt.Mount(conn, nsp.User(), aname, cfg)
 	if err != nil {
 		return nil, err
 	}

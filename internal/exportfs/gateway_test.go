@@ -135,7 +135,7 @@ func TestCacheServesSecondTenantWithoutBacking(t *testing.T) {
 
 	read := func(mountpoint string) {
 		local := ns.New("me", ramfs.New("me").Root())
-		cl, err := ImportConfig(local, servedConn(t, srv), "", mountpoint, ns.MREPL, mnt.FileConfig())
+		cl, err := Import(local, servedConn(t, srv), "", mountpoint, ns.MREPL, mnt.FileConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestStatsCarryPerConnBill(t *testing.T) {
 	srv := gatewayServer(t, map[string]string{"f": "stats"})
 	for i := 0; i < 2; i++ {
 		local := ns.New("me", ramfs.New("me").Root())
-		cl, err := Import(local, servedConn(t, srv), "", "/r", ns.MREPL)
+		cl, err := Import(local, servedConn(t, srv), "", "/r", ns.MREPL, mnt.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatalf("negative CacheBytes should disable the cache")
 	}
 	local := ns.New("me", ramfs.New("me").Root())
-	cl, err := Import(local, servedConn(t, srv), "", "/r", ns.MREPL)
+	cl, err := Import(local, servedConn(t, srv), "", "/r", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

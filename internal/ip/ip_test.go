@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ether"
+	"repro/internal/medium"
 )
 
 func TestParseAddr(t *testing.T) {
@@ -157,11 +158,11 @@ func BenchmarkChecksum(b *testing.B) {
 // twoHosts builds two machines on one ether segment.
 func twoHosts(t *testing.T) (*Stack, *Stack, Addr, Addr) {
 	t.Helper()
-	seg := ether.NewSegment("e0", ether.Profile{})
+	seg := ether.NewSegment("e0", medium.Profile{})
 	t.Cleanup(seg.Close)
 	e1 := seg.NewInterface("ether0")
 	e2 := seg.NewInterface("ether0")
-	s1, s2 := NewStack(), NewStack()
+	s1, s2 := NewStack(nil), NewStack(nil)
 	a1 := Addr{135, 104, 9, 1}
 	a2 := Addr{135, 104, 9, 2}
 	mask := Addr{255, 255, 255, 0}
@@ -238,15 +239,15 @@ func TestNoRoute(t *testing.T) {
 func TestForwardingThroughGateway(t *testing.T) {
 	// Three machines, two subnets, one gateway in the middle — the
 	// shape of the paper's ndb subnet entries with ipgw.
-	segA := ether.NewSegment("eA", ether.Profile{})
-	segB := ether.NewSegment("eB", ether.Profile{})
+	segA := ether.NewSegment("eA", medium.Profile{})
+	segB := ether.NewSegment("eB", medium.Profile{})
 	defer segA.Close()
 	defer segB.Close()
 
 	maskC := Addr{255, 255, 255, 0}
-	host1 := NewStack()
-	gw := NewStack()
-	host2 := NewStack()
+	host1 := NewStack(nil)
+	gw := NewStack(nil)
+	host2 := NewStack(nil)
 	defer host1.Close()
 	defer gw.Close()
 	defer host2.Close()
@@ -289,11 +290,11 @@ func TestForwardingThroughGateway(t *testing.T) {
 }
 
 func TestDefaultRoute(t *testing.T) {
-	segA := ether.NewSegment("eA", ether.Profile{})
+	segA := ether.NewSegment("eA", medium.Profile{})
 	defer segA.Close()
 	mask := Addr{255, 255, 255, 0}
-	h := NewStack()
-	gw := NewStack()
+	h := NewStack(nil)
+	gw := NewStack(nil)
 	defer h.Close()
 	defer gw.Close()
 	ha := Addr{192, 168, 1, 2}

@@ -56,12 +56,9 @@ type Route struct {
 	Gateway Addr
 }
 
-// NewStack returns an empty stack on the real clock.
-func NewStack() *Stack { return NewStackClock(nil) }
-
-// NewStackClock returns an empty stack whose timers (and those of the
+// NewStack returns an empty stack whose timers (and those of the
 // transports built on it) run on ck; nil means the real clock.
-func NewStackClock(ck vclock.Clock) *Stack {
+func NewStack(ck vclock.Clock) *Stack {
 	return &Stack{clk: vclock.Or(ck), handlers: make(map[uint8]Handler)}
 }
 

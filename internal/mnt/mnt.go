@@ -52,9 +52,9 @@ type Config struct {
 	// starts, bottom-up: {"compress", "batch 2048 2ms"} puts
 	// compress nearest the wire. The mount driver itself does not
 	// act on this field — the code that dials the conversation
-	// (core.Machine.ImportConfig and friends) writes the push
-	// control messages, and the serving end must push the same
-	// specs in the same order.
+	// (core.Machine.ImportConfig) writes the push control messages,
+	// and the serving end must push the same specs in the same
+	// order.
 	Push []string
 }
 
@@ -72,14 +72,9 @@ func FileConfig() Config {
 // Mount dials a 9P server over conn, authenticates uname, attaches to
 // aname, and returns the remote root as a mountable node. Closing the
 // returned client tears down the connection and every fid on it. The
-// mount uses the serial driver's exact RPC mapping; pass FileConfig to
-// MountConfig to pipeline a plain file tree.
-func Mount(conn ninep.MsgConn, uname, aname string) (vfs.Node, *ninep.Client, error) {
-	return MountConfig(conn, uname, aname, Config{})
-}
-
-// MountConfig is Mount with an explicit pipelining configuration.
-func MountConfig(conn ninep.MsgConn, uname, aname string, cfg Config) (vfs.Node, *ninep.Client, error) {
+// zero Config keeps the serial driver's exact RPC mapping; FileConfig
+// pipelines a plain file tree.
+func Mount(conn ninep.MsgConn, uname, aname string, cfg Config) (vfs.Node, *ninep.Client, error) {
 	cl, err := ninep.NewClientConfig(conn, cfg.Client)
 	if err != nil {
 		return nil, nil, err

@@ -17,7 +17,7 @@ func mounted(t *testing.T) (vfs.Node, *ramfs.FS, *ninep.Client) {
 	go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
 	}, nil)
-	root, cl, err := Mount(a, "glenda", "")
+	root, cl, err := Mount(a, "glenda", "", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func mountedConfig(t *testing.T, cfg Config) (vfs.Node, *ramfs.FS, *ninep.Client
 	go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
 	}, nil)
-	root, cl, err := MountConfig(a, "glenda", "", cfg)
+	root, cl, err := Mount(a, "glenda", "", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFlushRacesReadahead(t *testing.T) {
 	}()
 	before := block.Snapshot()
 
-	root, cl, err := MountConfig(a, "glenda", "", Config{Readahead: 4})
+	root, cl, err := Mount(a, "glenda", "", Config{Readahead: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestWriteBehindErrorSurfaces(t *testing.T) {
 	go ninep.Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return errSrv{}.Root(), nil
 	}, nil)
-	root, cl, err := MountConfig(a, "glenda", "", FileConfig())
+	root, cl, err := Mount(a, "glenda", "", FileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ether"
 	"repro/internal/il"
 	"repro/internal/ip"
+	"repro/internal/medium"
 	"repro/internal/ns"
 	"repro/internal/obs"
 	"repro/internal/ramfs"
@@ -19,7 +20,7 @@ import (
 // name spaces.
 func world(t *testing.T) (nsA, nsB *ns.Namespace, addrA, addrB ip.Addr) {
 	t.Helper()
-	seg := ether.NewSegment("e0", ether.Profile{})
+	seg := ether.NewSegment("e0", medium.Profile{})
 	t.Cleanup(seg.Close)
 	mask := ip.Addr{255, 255, 255, 0}
 	addrA = ip.Addr{135, 104, 9, 31}
@@ -27,7 +28,7 @@ func world(t *testing.T) (nsA, nsB *ns.Namespace, addrA, addrB ip.Addr) {
 	maskB := ip.Addr{255, 255, 0, 0} // same segment, one big net
 	_ = maskB
 	mk := func(a ip.Addr) (*ns.Namespace, *ip.Stack) {
-		st := ip.NewStack()
+		st := ip.NewStack(nil)
 		if _, err := st.Bind(seg.NewInterface("ether0"), a, ip.Addr{255, 255, 0, 0}); err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func TestAllocsRreadRoundTrip(t *testing.T) {
 	fs.WriteFile("f", make([]byte, 4096), 0664)
 	a, p := NewPipe(nil)
 	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, nil)
-	cl, err := NewClient(a)
+	cl, err := NewClientConfig(a, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

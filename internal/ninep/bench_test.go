@@ -15,7 +15,7 @@ func benchClient(b *testing.B) (*Client, *ramfs.FS) {
 	fs := ramfs.New("srv")
 	a, p := NewPipe(nil)
 	go Serve(p, func(uname, aname string) (vfs.Node, error) { return fs.Root(), nil }, nil)
-	cl, err := NewClient(a)
+	cl, err := NewClientConfig(a, ClientConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -102,14 +102,9 @@ type Client struct {
 	stats    *obs.Group
 }
 
-// NewClient starts a 9P client on conn and performs the session
-// handshake. The caller then Attaches to obtain a root fid.
-func NewClient(conn MsgConn) (*Client, error) {
-	return NewClientConfig(conn, ClientConfig{})
-}
-
-// NewClientConfig is NewClient with an explicit pipelining
-// configuration.
+// NewClientConfig starts a 9P client on conn with the given pipelining
+// configuration and performs the session handshake. The caller then
+// Attaches to obtain a root fid.
 func NewClientConfig(conn MsgConn, cfg ClientConfig) (*Client, error) {
 	cl := &Client{
 		conn: conn,

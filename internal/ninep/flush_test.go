@@ -49,7 +49,7 @@ func TestFlushAbandonsBlockedRead(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
 	a, b := NewPipe(nil)
 	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, nil)
-	cl, err := NewClient(a)
+	cl, err := NewClientConfig(a, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFlushedTagReuse(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
 	a, b := NewPipe(nil)
 	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, nil)
-	cl, err := NewClient(a)
+	cl, err := NewClientConfig(a, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestFlushedQueuedReadSkipsHandle(t *testing.T) {
 	fs := &blockingFS{release: make(chan struct{})}
 	a, b := NewPipe(nil)
 	go Serve(b, func(uname, aname string) (vfs.Node, error) { return fs.Attach("") }, nil)
-	cl, err := NewClient(a)
+	cl, err := NewClientConfig(a, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

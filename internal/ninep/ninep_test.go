@@ -20,7 +20,7 @@ func startServer(t *testing.T) (*Client, *ramfs.FS) {
 	go Serve(b, func(uname, aname string) (vfs.Node, error) {
 		return fs.Root(), nil
 	}, nil)
-	cl, err := NewClient(a)
+	cl, err := NewClientConfig(a, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestClientCloseFailsPendingRPCs(t *testing.T) {
 		<-blockOpen
 		return fs.Root(), nil
 	}, nil)
-	cl, err := NewClient(a)
+	cl, err := NewClientConfig(a, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

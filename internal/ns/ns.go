@@ -353,6 +353,10 @@ func (ns *Namespace) OpenOrCreate(name string, perm uint32, mode int) (*FD, erro
 	return ns.Create(name, perm, mode)
 }
 
+// maxPresize caps what ReadFile allocates up front from a stat length,
+// which a remote server supplies and may overstate.
+const maxPresize = 16 << 20
+
 // ReadFile reads the whole file at name. A read that fails before end
 // of file returns the bytes read so far with the error.
 func (ns *Namespace) ReadFile(name string) ([]byte, error) {
@@ -361,11 +365,21 @@ func (ns *Namespace) ReadFile(name string) ([]byte, error) {
 		return nil, err
 	}
 	defer fd.Close()
-	var out []byte
-	buf := make([]byte, 8192)
+	// Reads land directly in out's spare capacity: no staging buffer,
+	// no second copy. out is sized once from the length Open statted,
+	// plus a spare chunk for the read that meets end of file; a length
+	// of 0 (a stream) or a file that grew doubles it instead. Every
+	// Read asks for a whole chunk at the offset reached, as any
+	// sequential reader does.
+	const chunk = 8192
+	d, _ := fd.Stat()
+	out := make([]byte, 0, chunk+int(min(max(d.Length, 0), maxPresize)))
 	for {
-		n, err := fd.Read(buf)
-		out = append(out, buf[:n]...)
+		if cap(out)-len(out) < chunk {
+			out = append(make([]byte, 0, 2*cap(out)), out...)
+		}
+		n, err := fd.Read(out[len(out) : len(out)+chunk])
+		out = out[:len(out)+n]
 		if err != nil {
 			if err == io.EOF {
 				err = nil

@@ -189,7 +189,7 @@ func (t *Table[C]) New() C {
 	c := t.newConv()
 	cv := c.conv()
 	cv.Cond.Init(t.ck, &cv.Mu)
-	cv.Rstream = streams.NewClock(1<<22, t.ck, nil)
+	cv.Rstream = streams.New(1<<22, t.ck, nil)
 	cv.accepted = vclock.NewMailbox[xport.Conn](t.ck, 8)
 	return c
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ether"
 	"repro/internal/ip"
 	"repro/internal/leakcheck"
+	"repro/internal/medium"
 	"repro/internal/obs"
 	"repro/internal/streams"
 	"repro/internal/vclock"
@@ -126,8 +127,8 @@ var (
 // stack bound to an ideal ether on ck, so Connect can pick a local
 // address; closeAll tears all three down.
 func newTable(ck vclock.Clock, base uint16) (tab *Table[*conv], closeAll func(), err error) {
-	seg := ether.NewSegment("e0", ether.Profile{Clock: ck})
-	st := ip.NewStackClock(ck)
+	seg := ether.NewSegment("e0", medium.Profile{Clock: ck})
+	st := ip.NewStack(ck)
 	if _, err := st.Bind(seg.NewInterface("ether0"), local, ip.Addr{255, 255, 255, 0}); err != nil {
 		st.Close()
 		seg.Close()
@@ -406,7 +407,7 @@ func TestCloseWakesEverything(t *testing.T) {
 func TestTransmitterRing(t *testing.T) {
 	v := vclock.NewVirtual()
 	v.Run(func() {
-		st := ip.NewStackClock(v)
+		st := ip.NewStack(v)
 		defer st.Close()
 		var sent atomic.Int64
 		tx := NewTransmitter(st, ip.ProtoTCP, &sent)

@@ -16,7 +16,7 @@ func TestAllocsWrite16K(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	var sink int
-	s := New(1<<30, func(blk *Block) { sink += len(blk.Buf); blk.Free() })
+	s := New(1<<30, nil, func(blk *Block) { sink += len(blk.Buf); blk.Free() })
 	defer s.Close()
 	payload := make([]byte, 16*1024)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -40,7 +40,7 @@ func TestAllocsBatchCoalesce(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	var sink int
-	s := New(1<<30, func(blk *Block) { sink += len(blk.Buf); blk.Free() })
+	s := New(1<<30, nil, func(blk *Block) { sink += len(blk.Buf); blk.Free() })
 	defer s.Close()
 	if err := s.WriteCtl("push batch 2048 10ms"); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestAllocsRoundTrip(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	var s *Stream
-	s = New(1<<30, func(blk *Block) { s.DeviceUp(blk) })
+	s = New(1<<30, nil, func(blk *Block) { s.DeviceUp(blk) })
 	defer s.Close()
 	payload := make([]byte, 1024)
 	buf := make([]byte, 2048)

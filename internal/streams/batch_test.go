@@ -74,7 +74,7 @@ func parseStatsText(s *Stream) map[string]int64 {
 
 func TestBatchCoalescesUntilCap(t *testing.T) {
 	sink := &devSink{}
-	s := New(0, sink.put)
+	s := New(0, nil, sink.put)
 	defer s.Close()
 	if err := s.WriteCtl("push batch 64 1h"); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestBatchCoalescesUntilCap(t *testing.T) {
 
 func TestBatchStatsIdentities(t *testing.T) {
 	sink := &devSink{}
-	s := New(0, sink.put)
+	s := New(0, nil, sink.put)
 	if err := s.WriteCtl("push batch 128 1h"); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestBatchTimerFlushVirtual(t *testing.T) {
 	v := vclock.NewVirtual()
 	sink := &devSink{}
 	v.Run(func() {
-		s := NewClock(0, v, sink.put)
+		s := New(0, v, sink.put)
 		if err := s.WriteCtl("push batch 4096 3ms"); err != nil {
 			t.Error(err)
 			return
@@ -199,7 +199,7 @@ func TestBatchTimerFlushVirtual(t *testing.T) {
 
 func TestBatchCtlIsFlushBarrier(t *testing.T) {
 	sink := &devSink{}
-	s := New(0, sink.put)
+	s := New(0, nil, sink.put)
 	defer s.Close()
 	if err := s.WriteCtl("push batch 4096 1h"); err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestBatchCtlIsFlushBarrier(t *testing.T) {
 
 func TestBatchBigMessageFastpath(t *testing.T) {
 	sink := &devSink{}
-	s := New(0, sink.put)
+	s := New(0, nil, sink.put)
 	defer s.Close()
 	if err := s.WriteCtl("push batch 512 1h"); err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestBatchMultiBlockMessage(t *testing.T) {
 	// A message larger than MaxBlock spans several stream blocks; the
 	// batch must frame the whole message once, not per block.
 	sink := &devSink{}
-	s := New(0, sink.put)
+	s := New(0, nil, sink.put)
 	defer s.Close()
 	if err := s.WriteCtl("push batch 128 1h"); err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestBatchSplitterRestoresBoundaries(t *testing.T) {
 		wire = append(wire, m...)
 	}
 	for chunk := 1; chunk <= len(wire); chunk += 7 {
-		s := New(0, nil)
+		s := New(0, nil, nil)
 		if err := s.WriteCtl("push batch"); err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestBatchSplitterRestoresBoundaries(t *testing.T) {
 }
 
 func TestBatchSplitterStrict(t *testing.T) {
-	s := New(0, nil)
+	s := New(0, nil, nil)
 	defer s.Close()
 	if err := s.WriteCtl("push batch"); err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestBatchSplitterStrict(t *testing.T) {
 }
 
 func TestBatchArgParsing(t *testing.T) {
-	s := New(0, nil)
+	s := New(0, nil, nil)
 	defer s.Close()
 	for _, bad := range []string{"push batch zero", "push batch 0", "push batch 12 nope", "push batch 12 2ms extra"} {
 		if err := s.WriteCtl(bad); err == nil {
@@ -343,7 +343,7 @@ func TestBatchHangupFlushesPendingWindow(t *testing.T) {
 	// window when the conversation hangs up must reach the device —
 	// flushed, not leaked — and the reader must still drain to EOF.
 	sink := &devSink{}
-	s := New(0, sink.put)
+	s := New(0, nil, sink.put)
 	if err := s.WriteCtl("push batch 4096 1h"); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestBatchPopDrainOrdering(t *testing.T) {
 	// Pop mid-conversation: the pending window must hit the wire
 	// before any write issued after the pop returns.
 	sink := &devSink{}
-	s := New(0, sink.put)
+	s := New(0, nil, sink.put)
 	defer s.Close()
 	if err := s.WriteCtl("push batch 4096 1h"); err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestBatchConcurrentWriters(t *testing.T) {
 	// exactly once, intact (order across writers is unspecified, as in
 	// the kernel).
 	sink := &devSink{}
-	s := New(0, sink.put)
+	s := New(0, nil, sink.put)
 	if err := s.WriteCtl("push batch 1024 1ms"); err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 // into the receiver's device input — a loopback conversation.
 func pairThrough(t *testing.T, specs ...string) (tx, rx *Stream) {
 	t.Helper()
-	rx = New(0, nil)
-	tx = New(0, func(b *Block) {
+	rx = New(0, nil, nil)
+	tx = New(0, nil, func(b *Block) {
 		if b.Type == BlockData {
 			rx.DeviceUpData(b.Buf)
 		}
@@ -104,7 +104,7 @@ func TestCompressChunkedReassembly(t *testing.T) {
 	// Capture real wire frames, then replay them under hostile
 	// chunkings into a fresh decoder.
 	var wire []byte
-	tx := New(0, func(b *Block) {
+	tx := New(0, nil, func(b *Block) {
 		if b.Type == BlockData {
 			wire = append(wire, b.Buf...)
 		}
@@ -123,7 +123,7 @@ func TestCompressChunkedReassembly(t *testing.T) {
 	}
 	tx.Close()
 	for _, chunk := range []int{1, 2, 3, 7, 11, 64, 1000, len(wire)} {
-		rx := New(0, nil)
+		rx := New(0, nil, nil)
 		if err := rx.WriteCtl("push compress"); err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestCompressChunkedReassembly(t *testing.T) {
 func TestCompressStrictDecoder(t *testing.T) {
 	inject := func(t *testing.T, frame []byte) map[string]int64 {
 		t.Helper()
-		rx := New(0, nil)
+		rx := New(0, nil, nil)
 		defer rx.Close()
 		if err := rx.WriteCtl("push compress"); err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestCompressStrictDecoder(t *testing.T) {
 }
 
 func TestCompressRejectsArgs(t *testing.T) {
-	s := New(0, nil)
+	s := New(0, nil, nil)
 	defer s.Close()
 	if err := s.WriteCtl("push compress loud"); err == nil {
 		t.Fatal("compress accepted an argument")

@@ -51,7 +51,7 @@ func fuzzCompressOnce(t *testing.T, data []byte) {
 	{
 		// Round trip: data is a payload.
 		var wire []byte
-		txDev := New(0, func(b *Block) {
+		txDev := New(0, nil, func(b *Block) {
 			if b.Type == BlockData {
 				wire = append(wire, b.Buf...)
 			}
@@ -73,7 +73,7 @@ func fuzzCompressOnce(t *testing.T, data []byte) {
 			if chunk <= 0 {
 				continue
 			}
-			rx := New(1<<30, nil)
+			rx := New(1<<30, nil, nil)
 			rx.WriteCtl("push compress")
 			for off := 0; off < len(wire); off += chunk {
 				end := off + chunk
@@ -101,7 +101,7 @@ func fuzzCompressOnce(t *testing.T, data []byte) {
 			if chunk <= 0 {
 				continue
 			}
-			rx := New(1<<30, nil)
+			rx := New(1<<30, nil, nil)
 			rx.WriteCtl("push compress")
 			// A hostile stream of tiny frames can each declare a huge
 			// uncompressed length (the anti-bomb cap is per frame, not
@@ -156,7 +156,7 @@ func FuzzBatchReassembly(f *testing.F) {
 		// split the wire back under a different chunking.
 		capN := int(cut)%4096 + 16
 		var wire []byte
-		tx := New(0, func(b *Block) {
+		tx := New(0, nil, func(b *Block) {
 			if b.Type == BlockData {
 				wire = append(wire, b.Buf...)
 			}
@@ -171,7 +171,7 @@ func FuzzBatchReassembly(f *testing.F) {
 			}
 		}
 		tx.Close() // pop-drain flushes the tail
-		rx := New(1<<30, nil)
+		rx := New(1<<30, nil, nil)
 		rx.WriteCtl("push batch")
 		chunk := step*2 + 1
 		for off := 0; off < len(wire); off += chunk {
@@ -193,7 +193,7 @@ func FuzzBatchReassembly(f *testing.F) {
 		rx.Close()
 
 		// Strictness: the same bytes as a hostile wire stream.
-		hx := New(1<<30, nil)
+		hx := New(1<<30, nil, nil)
 		hx.WriteCtl("push batch")
 		for off := 0; off < len(data); off += 5 {
 			end := off + 5

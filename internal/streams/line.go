@@ -45,7 +45,7 @@ const lineBufSize = 128 * 1024
 // DefaultLimit.
 func NewLine(conn io.ReadWriteCloser, ck vclock.Clock, limit int) *Line {
 	l := &Line{conn: conn}
-	l.s = NewClock(limit, ck, l.deviceOut)
+	l.s = New(limit, ck, l.deviceOut)
 	clk := l.s.Clock()
 	clk.Go(func() {
 		buf := make([]byte, lineBufSize)

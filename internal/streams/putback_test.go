@@ -12,7 +12,7 @@ import (
 // putback. putback must Broadcast like Enqueue does — without it, B
 // sleeps on readable data until unrelated traffic arrives.
 func TestPutbackWakesSecondReader(t *testing.T) {
-	s := New(0, nil)
+	s := New(0, nil, nil)
 	defer s.Close()
 	q := s.topRead
 

@@ -46,13 +46,10 @@ type Stream struct {
 type DeviceFunc func(b *Block)
 
 // New creates a stream whose device end delivers downstream blocks to
-// dev. limit <= 0 selects DefaultLimit.
-func New(limit int, dev DeviceFunc) *Stream { return NewClock(limit, nil, dev) }
-
-// NewClock is New with an explicit clock: flow-control waits go
-// through ck, so a virtual-clock stream parks cooperatively with the
-// simulation scheduler. nil means the real clock.
-func NewClock(limit int, ck vclock.Clock, dev DeviceFunc) *Stream {
+// dev. limit <= 0 selects DefaultLimit. Flow-control waits go through
+// ck, so a virtual-clock stream parks cooperatively with the
+// simulation scheduler; nil means the real clock.
+func New(limit int, ck vclock.Clock, dev DeviceFunc) *Stream {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}

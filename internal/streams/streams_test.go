@@ -14,7 +14,7 @@ import (
 func loopback(t *testing.T) *Stream {
 	t.Helper()
 	var s *Stream
-	s = New(0, func(b *Block) { s.DeviceUp(b) })
+	s = New(0, nil, func(b *Block) { s.DeviceUp(b) })
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -24,8 +24,8 @@ func loopback(t *testing.T) *Stream {
 func crossPair(t *testing.T) (*Stream, *Stream) {
 	t.Helper()
 	var a, b *Stream
-	a = New(0, func(blk *Block) { b.DeviceUp(blk) })
-	b = New(0, func(blk *Block) { a.DeviceUp(blk) })
+	a = New(0, nil, func(blk *Block) { b.DeviceUp(blk) })
+	b = New(0, nil, func(blk *Block) { a.DeviceUp(blk) })
 	t.Cleanup(func() { a.Close(); b.Close() })
 	return a, b
 }
@@ -77,7 +77,7 @@ func TestPartialBlockRemainderStaysQueued(t *testing.T) {
 
 func TestLargeWriteSplitsAt32K(t *testing.T) {
 	var blocks []*Block
-	s := New(1<<20, func(b *Block) { blocks = append(blocks, b) })
+	s := New(1<<20, nil, func(b *Block) { blocks = append(blocks, b) })
 	defer s.Close()
 	payload := bytes.Repeat([]byte("x"), MaxBlock+1000)
 	s.Write(payload)
@@ -97,7 +97,7 @@ func TestSingleBlockWriteIsAtomic(t *testing.T) {
 	// interleave within it.
 	var mu sync.Mutex
 	var sizes []int
-	s := New(1<<24, func(b *Block) {
+	s := New(1<<24, nil, func(b *Block) {
 		mu.Lock()
 		sizes = append(sizes, len(b.Buf))
 		mu.Unlock()
@@ -152,7 +152,7 @@ func TestHangupViaCtl(t *testing.T) {
 }
 
 func TestBlockedReaderWokenByClose(t *testing.T) {
-	s := New(0, nil)
+	s := New(0, nil, nil)
 	done := make(chan error, 1)
 	go func() {
 		_, err := s.Read(make([]byte, 1))
@@ -174,7 +174,7 @@ func TestFlowControlBlocksWriters(t *testing.T) {
 	// Loopback with a tiny limit: the writer must block once the
 	// read queue is full, and resume when the reader drains.
 	var s *Stream
-	s = New(10, func(b *Block) { s.DeviceUp(b) })
+	s = New(10, nil, func(b *Block) { s.DeviceUp(b) })
 	defer s.Close()
 	wrote := make(chan bool, 1)
 	go func() {
@@ -261,8 +261,8 @@ func TestFrameModuleRestoresDelimiters(t *testing.T) {
 			}
 		}
 	}
-	a = New(1<<20, reframe(&b))
-	b = New(1<<20, reframe(&a))
+	a = New(1<<20, nil, reframe(&b))
+	b = New(1<<20, nil, reframe(&a))
 	defer a.Close()
 	defer b.Close()
 	if err := a.PushName("frame", nil); err != nil {
@@ -296,7 +296,7 @@ func TestCtlBlocksSkippedByRead(t *testing.T) {
 }
 
 func TestOnCloseHooks(t *testing.T) {
-	s := New(0, nil)
+	s := New(0, nil, nil)
 	ran := 0
 	s.OnClose(func() { ran++ })
 	s.Close()
@@ -307,7 +307,7 @@ func TestOnCloseHooks(t *testing.T) {
 }
 
 func TestQueueGetTryGetPutback(t *testing.T) {
-	s := New(0, nil)
+	s := New(0, nil, nil)
 	defer s.Close()
 	q := newQueue(s, nil, true, PutQ)
 	if q.TryGet() != nil {
@@ -335,7 +335,7 @@ func TestReadContiguityUnderConcurrency(t *testing.T) {
 	// records; concurrent readers each reading 100 bytes must see
 	// whole records.
 	var s *Stream
-	s = New(1<<20, func(b *Block) { s.DeviceUp(b) })
+	s = New(1<<20, nil, func(b *Block) { s.DeviceUp(b) })
 	defer s.Close()
 	const records = 200
 	go func() {
@@ -422,6 +422,6 @@ func TestStreamByteTransparencyQuick(t *testing.T) {
 
 func loopbackQuiet() *Stream {
 	var s *Stream
-	s = New(1<<24, func(b *Block) { s.DeviceUp(b) })
+	s = New(1<<24, nil, func(b *Block) { s.DeviceUp(b) })
 	return s
 }

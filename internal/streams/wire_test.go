@@ -10,7 +10,7 @@ import (
 func captureWire(t *testing.T, specs []string, msgs ...string) []byte {
 	t.Helper()
 	var wire []byte
-	s := New(0, func(b *Block) {
+	s := New(0, nil, func(b *Block) {
 		if b.Type == BlockData {
 			wire = append(wire, b.Buf...)
 		}

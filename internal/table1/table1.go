@@ -232,8 +232,8 @@ func dialSink(nsp *ns.Namespace, dest string, n int) (io.ReadWriteCloser, error)
 func pipePath() Path {
 	mkPipe := func() (*streams.Stream, *streams.Stream) {
 		var a, b *streams.Stream
-		a = streams.New(1<<20, func(blk *streams.Block) { b.DeviceUp(blk) })
-		b = streams.New(1<<20, func(blk *streams.Block) { a.DeviceUp(blk) })
+		a = streams.New(1<<20, nil, func(blk *streams.Block) { b.DeviceUp(blk) })
+		b = streams.New(1<<20, nil, func(blk *streams.Block) { a.DeviceUp(blk) })
 		return a, b
 	}
 	return Path{

@@ -10,15 +10,16 @@ import (
 
 	"repro/internal/ether"
 	"repro/internal/ip"
+	"repro/internal/medium"
 	"repro/internal/vfs"
 	"repro/internal/xport"
 )
 
-func pair(t *testing.T, prof ether.Profile) (*Proto, *Proto, ip.Addr, ip.Addr) {
+func pair(t *testing.T, prof medium.Profile) (*Proto, *Proto, ip.Addr, ip.Addr) {
 	t.Helper()
 	seg := ether.NewSegment("e0", prof)
 	t.Cleanup(seg.Close)
-	s1, s2 := ip.NewStack(), ip.NewStack()
+	s1, s2 := ip.NewStack(nil), ip.NewStack(nil)
 	a1 := ip.Addr{135, 104, 117, 1}
 	a2 := ip.Addr{135, 104, 117, 2}
 	mask := ip.Addr{255, 255, 255, 0}
@@ -66,7 +67,7 @@ func connect(t *testing.T, p1, p2 *Proto, a2 ip.Addr, port string) (xport.Conn, 
 }
 
 func TestHandshakeEcho(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
+	p1, p2, _, a2 := pair(t, medium.Profile{})
 	dc, sc := connect(t, p1, p2, a2, "564")
 	if dc.(*Conn).State() != "Established" || sc.(*Conn).State() != "Established" {
 		t.Errorf("states %s / %s", dc.(*Conn).State(), sc.(*Conn).State())
@@ -87,7 +88,7 @@ func TestHandshakeEcho(t *testing.T) {
 func TestByteStreamDoesNotPreserveDelimiters(t *testing.T) {
 	// §3: "TCP ... does not preserve delimiters." Two writes may be
 	// read as one; the byte content must still be exact.
-	p1, p2, _, a2 := pair(t, ether.Profile{})
+	p1, p2, _, a2 := pair(t, medium.Profile{})
 	dc, sc := connect(t, p1, p2, a2, "564")
 	dc.Write([]byte("first"))
 	dc.Write([]byte("second"))
@@ -111,7 +112,7 @@ func TestByteStreamDoesNotPreserveDelimiters(t *testing.T) {
 }
 
 func TestBulkTransfer(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
+	p1, p2, _, a2 := pair(t, medium.Profile{})
 	dc, sc := connect(t, p1, p2, a2, "564")
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 16*1024) // 256 KiB
 	var wg sync.WaitGroup
@@ -138,7 +139,7 @@ func TestBulkTransfer(t *testing.T) {
 }
 
 func TestReliabilityUnderLoss(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{Loss: 0.08, Seed: 11, Bandwidth: 1 << 26})
+	p1, p2, _, a2 := pair(t, medium.Profile{Loss: 0.08, Seed: 11, Bandwidth: 1 << 26})
 	dc, sc := connect(t, p1, p2, a2, "564")
 	payload := bytes.Repeat([]byte("L"), 40*1024)
 	var wg sync.WaitGroup
@@ -166,7 +167,7 @@ func TestReliabilityUnderLoss(t *testing.T) {
 }
 
 func TestConnectionRefusedByRST(t *testing.T) {
-	p1, _, _, a2 := pair(t, ether.Profile{})
+	p1, _, _, a2 := pair(t, medium.Profile{})
 	dc, _ := p1.NewConn()
 	defer dc.Close()
 	err := dc.Connect(a2.String() + "!9")
@@ -176,7 +177,7 @@ func TestConnectionRefusedByRST(t *testing.T) {
 }
 
 func TestFINDeliversEOFAfterData(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
+	p1, p2, _, a2 := pair(t, medium.Profile{})
 	dc, sc := connect(t, p1, p2, a2, "564")
 	dc.Write([]byte("finale"))
 	dc.Close()
@@ -200,7 +201,7 @@ func TestFINDeliversEOFAfterData(t *testing.T) {
 func TestCloseWithBufferedDataDrains(t *testing.T) {
 	// Close immediately after a large write: every byte must still
 	// arrive before EOF (FIN is sequenced after the data).
-	p1, p2, _, a2 := pair(t, ether.Profile{})
+	p1, p2, _, a2 := pair(t, medium.Profile{})
 	dc, sc := connect(t, p1, p2, a2, "564")
 	payload := bytes.Repeat([]byte("D"), 100*1024)
 	go func() {
@@ -223,7 +224,7 @@ func TestCloseWithBufferedDataDrains(t *testing.T) {
 
 func TestHalfClose(t *testing.T) {
 	// After the client closes, the server (CloseWait) can still send.
-	p1, p2, _, a2 := pair(t, ether.Profile{})
+	p1, p2, _, a2 := pair(t, medium.Profile{})
 	dc, sc := connect(t, p1, p2, a2, "564")
 	dc.Write([]byte("request"))
 	dc.Close()
@@ -248,7 +249,7 @@ func TestHalfClose(t *testing.T) {
 }
 
 func TestSequentialConnectionsSamePort(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
+	p1, p2, _, a2 := pair(t, medium.Profile{})
 	lc, _ := p2.NewConn()
 	if err := lc.Announce("7"); err != nil {
 		t.Fatal(err)
@@ -280,7 +281,7 @@ func TestSequentialConnectionsSamePort(t *testing.T) {
 }
 
 func TestAnnounceCollisionAndBadAddrs(t *testing.T) {
-	p1, _, _, _ := pair(t, ether.Profile{})
+	p1, _, _, _ := pair(t, medium.Profile{})
 	a, _ := p1.NewConn()
 	if err := a.Announce("80"); err != nil {
 		t.Fatal(err)
@@ -300,7 +301,7 @@ func TestAnnounceCollisionAndBadAddrs(t *testing.T) {
 }
 
 func TestStatusLines(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
+	p1, p2, _, a2 := pair(t, medium.Profile{})
 	dc, sc := connect(t, p1, p2, a2, "564")
 	if s := dc.Status(); len(s) < 11 || s[:11] != "Established" {
 		t.Errorf("dialer status %q", s)
@@ -342,7 +343,7 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 }
 
 func TestConcurrentConnections(t *testing.T) {
-	p1, p2, _, a2 := pair(t, ether.Profile{})
+	p1, p2, _, a2 := pair(t, medium.Profile{})
 	lc, _ := p2.NewConn()
 	if err := lc.Announce("564"); err != nil {
 		t.Fatal(err)

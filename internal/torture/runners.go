@@ -294,7 +294,7 @@ type etherWorld struct {
 
 func newEtherWorld(ck vclock.Clock, s Scenario) (*etherWorld, error) {
 	w := &etherWorld{
-		seg: ether.NewSegment("torture0", ether.Profile{
+		seg: ether.NewSegment("torture0", medium.Profile{
 			Latency:   s.Latency,
 			Bandwidth: s.Bandwidth,
 			Loss:      s.Loss,
@@ -302,8 +302,8 @@ func newEtherWorld(ck vclock.Clock, s Scenario) (*etherWorld, error) {
 			Impair:    s.Impair,
 			Clock:     ck,
 		}),
-		st1: ip.NewStackClock(ck),
-		st2: ip.NewStackClock(ck),
+		st1: ip.NewStack(ck),
+		st2: ip.NewStack(ck),
 		a1:  ip.Addr{135, 104, 9, 1},
 		a2:  ip.Addr{135, 104, 9, 2},
 	}

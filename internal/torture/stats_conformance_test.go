@@ -111,13 +111,13 @@ func TestStatsConformanceIL(t *testing.T) {
 		Latency: 200 * time.Microsecond,
 	}.withDefaults()
 
-	seg := ether.NewSegment("conf0", ether.Profile{
+	seg := ether.NewSegment("conf0", medium.Profile{
 		Latency: s.Latency,
 		Loss:    s.Loss,
 		Seed:    s.Seed,
 		Impair:  s.Impair,
 	})
-	st1, st2 := ip.NewStack(), ip.NewStack()
+	st1, st2 := ip.NewStack(nil), ip.NewStack(nil)
 	a1, a2 := ip.Addr{10, 0, 0, 1}, ip.Addr{10, 0, 0, 2}
 	mask := ip.Addr{255, 255, 255, 0}
 	ifc1 := seg.NewInterface("ether0")
@@ -325,13 +325,13 @@ func TestStatsConformanceMnt(t *testing.T) {
 		Latency: 100 * time.Microsecond,
 	}.withDefaults()
 
-	seg := ether.NewSegment("conf9p", ether.Profile{
+	seg := ether.NewSegment("conf9p", medium.Profile{
 		Latency: s.Latency,
 		Loss:    s.Loss,
 		Seed:    s.Seed,
 		Impair:  s.Impair,
 	})
-	st1, st2 := ip.NewStack(), ip.NewStack()
+	st1, st2 := ip.NewStack(nil), ip.NewStack(nil)
 	a1, a2 := ip.Addr{10, 0, 1, 1}, ip.Addr{10, 0, 1, 2}
 	mask := ip.Addr{255, 255, 255, 0}
 	if _, err := st1.Bind(seg.NewInterface("ether0"), a1, mask); err != nil {
@@ -364,7 +364,7 @@ func TestStatsConformanceMnt(t *testing.T) {
 	}()
 
 	before := mnt.StatsGroup().Snapshot()
-	root, cl, err := mnt.MountConfig(ninep.NewDelimConn(dc), "conf", "", mnt.FileConfig())
+	root, cl, err := mnt.Mount(ninep.NewDelimConn(dc), "conf", "", mnt.FileConfig())
 	if err != nil {
 		t.Fatalf("mount: %v", err)
 	}

@@ -73,7 +73,7 @@ type End struct {
 func newEnd(ck vclock.Clock) *End {
 	e := &End{ck: vclock.Or(ck)}
 	e.baud.Store(DefaultBaud)
-	e.stream = streams.NewClock(0, ck, e.transmit)
+	e.stream = streams.New(0, ck, e.transmit)
 	return e
 }
 

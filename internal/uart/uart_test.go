@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/exportfs"
+	"repro/internal/mnt"
 	"repro/internal/ninep"
 	"repro/internal/ns"
 	"repro/internal/ramfs"
@@ -199,10 +200,10 @@ func Test9PMountOverSerialLine(t *testing.T) {
 	rfs := ramfs.New("home")
 	rfs.WriteFile("mail/inbox", []byte("You have mail.\n"), 0664)
 	remote := ns.New("home", rfs.Root())
-	go exportfs.Serve(ninep.NewStreamConn(endRWC{b}), remote, "/", nil)
+	go exportfs.NewServer(remote, exportfs.Config{}).ServeConn(ninep.NewStreamConn(endRWC{b}))
 
 	local := ns.New("user", ramfs.New("user").Root())
-	cl, err := exportfs.Import(local, ninep.NewStreamConn(endRWC{a}), "", "/n/home", ns.MREPL)
+	cl, err := exportfs.Import(local, ninep.NewStreamConn(endRWC{a}), "", "/n/home", ns.MREPL, mnt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

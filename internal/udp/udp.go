@@ -54,7 +54,7 @@ func (p *Proto) Clock() vclock.Clock { return p.stack.Clock() }
 // NewConn implements xport.Proto.
 func (p *Proto) NewConn() (xport.Conn, error) {
 	c := &Conn{proto: p}
-	c.rstream = streams.NewClock(0, p.stack.Clock(), nil)
+	c.rstream = streams.New(0, p.stack.Clock(), nil)
 	return c, nil
 }
 

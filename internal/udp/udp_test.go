@@ -6,14 +6,15 @@ import (
 
 	"repro/internal/ether"
 	"repro/internal/ip"
+	"repro/internal/medium"
 	"repro/internal/xport"
 )
 
 func pair(t *testing.T) (*Proto, *Proto, ip.Addr, ip.Addr) {
 	t.Helper()
-	seg := ether.NewSegment("e0", ether.Profile{})
+	seg := ether.NewSegment("e0", medium.Profile{})
 	t.Cleanup(seg.Close)
-	s1, s2 := ip.NewStack(), ip.NewStack()
+	s1, s2 := ip.NewStack(nil), ip.NewStack(nil)
 	a1 := ip.Addr{10, 0, 0, 1}
 	a2 := ip.Addr{10, 0, 0, 2}
 	mask := ip.Addr{255, 255, 255, 0}

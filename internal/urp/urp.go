@@ -141,7 +141,7 @@ func New(wire Wire, stats *Stats, ck vclock.Clock) *Conn {
 		wire:         wire,
 		ck:           ck,
 		stats:        stats,
-		rstream:      streams.NewClock(1<<22, ck, nil),
+		rstream:      streams.New(1<<22, ck, nil),
 		lastProgress: ck.Now(),
 	}
 	c.cond.Init(ck, &c.mu)

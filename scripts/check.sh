@@ -32,7 +32,7 @@ echo "== block discipline: AllocsPerRun gates (race off)"
 # The race detector's instrumentation allocates, so these self-skip
 # under -race above and run here without it: a copy or pool bypass
 # creeping back into the hot paths fails the gate.
-go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/vclock
+go test -run '^TestAllocs' -count=1 ./internal/streams ./internal/ninep ./internal/cs ./internal/vclock ./internal/ns
 
 echo "== chaos: real-clock torture pass (fixed seed)"
 go run ./cmd/netsim -chaos -seed 1 -msgs 40
@@ -132,5 +132,6 @@ go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s -fuzzminimizetime 5x ./i
 go test -run '^$' -fuzz '^Fuzz9PMessage$' -fuzztime 10s -fuzzminimizetime 5x ./internal/ninep
 go test -run '^$' -fuzz '^FuzzCompressFrame$' -fuzztime 10s -fuzzminimizetime 5x ./internal/streams
 go test -run '^$' -fuzz '^FuzzBatchReassembly$' -fuzztime 10s -fuzzminimizetime 5x ./internal/streams
+go test -run '^$' -fuzz '^FuzzDNSMessage$' -fuzztime 10s -fuzzminimizetime 5x ./internal/dnssrv
 
 echo "check.sh: all gates passed"
